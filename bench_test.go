@@ -654,6 +654,82 @@ func benchEndpoint(b *testing.B, cacheSize int, format string) {
 	}
 }
 
+// --- Loading while serving: the first read after a small load ---
+
+// The pair times what a reader pays for a 2 000-triple load into a
+// 600 000-triple store; the load itself runs with the timer stopped.
+// FirstQueryAfterLoad is a window query through geostore: index merge,
+// planner statistics, R-tree refresh and the query. FlushSmallBatch is
+// the index merge alone, behind a one-subject lookup in the rdf.Store.
+const (
+	loadBenchBase  = 150000 // features, ×4 triples
+	loadBenchBatch = 500
+)
+
+// loadBenchStore returns a store holding the base features and a
+// function that loads the next batch with the timer stopped. Batch k is
+// generated from seed k and its IRIs carry k, so no batch repeats a
+// feature.
+func loadBenchStore(b *testing.B) (*geostore.Store, func()) {
+	b.Helper()
+	st := geostore.New(geostore.ModeIndexed)
+	batch := 0
+	load := func(n int) {
+		batch++
+		for _, f := range geostore.GeneratePointFeatures(n, int64(batch), benchExtent) {
+			f.IRI = fmt.Sprintf("%s/batch%d", f.IRI, batch)
+			if err := st.AddFeature(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	load(loadBenchBase)
+	return st, func() {
+		b.StopTimer()
+		load(loadBenchBatch)
+		b.StartTimer()
+	}
+}
+
+func BenchmarkFirstQueryAfterLoad(b *testing.B) {
+	b.Run("base=600k,batch=2k", func(b *testing.B) {
+		st, loadBatch := loadBenchStore(b)
+		rng := rand.New(rand.NewSource(15))
+		queries := make([]*sparql.Query, 16)
+		for i := range queries {
+			queries[i] = sparql.MustParse(geostore.SelectionQuery(geostore.RandomWindow(rng, benchExtent, 0.0004)))
+		}
+		if _, err := st.Query(queries[0]); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			loadBatch()
+			if _, err := st.Query(queries[i%len(queries)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkFlushSmallBatch(b *testing.B) {
+	st, loadBatch := loadBenchStore(b)
+	probe, _ := st.RDF().Dict().Lookup(rdf.NewIRI("http://extremeearth.eu/feature/pt0/batch1"))
+	count := func() {
+		if n := st.RDF().Count(probe, rdf.NoID, rdf.NoID); n != 3 {
+			b.Fatalf("probe subject has %d triples, want 3", n)
+		}
+	}
+	count()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		loadBatch()
+		count()
+	}
+}
+
 // --- Query executor: compiled slot-based pipeline vs legacy evaluator ---
 
 // The BenchmarkQuery group measures the hottest serving-path kernel —

@@ -10,7 +10,7 @@ import (
 // registryNameMethods are the telemetry.Registry methods whose first
 // argument is a new metric family name.
 var registryNameMethods = map[string]bool{
-	"Counter": true, "CounterFunc": true, "CounterFamily": true,
+	"Counter": true, "CounterFunc": true, "FloatCounterFunc": true, "CounterFamily": true,
 	"Gauge": true, "GaugeFunc": true, "IntGaugeFunc": true, "GaugeFamily": true,
 	"DurationHistogram": true, "ValueHistogram": true, "DurationHistogramFamily": true,
 }

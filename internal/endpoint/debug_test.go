@@ -2,6 +2,8 @@ package endpoint_test
 
 import (
 	"encoding/json"
+	"fmt"
+	"net/http"
 	"strings"
 	"testing"
 
@@ -216,5 +218,43 @@ func TestMetricsBackwardCompatible(t *testing.T) {
 	}
 	for _, f := range telemetry.LintExposition(body) {
 		t.Errorf("exposition lint: %s", f)
+	}
+}
+
+// TestIndexMaintenanceMetrics follows the "index merge" counters through
+// two loads: every first read after a load is one flush, and the R-tree
+// is bulk-loaded again while a load is large against it (two features
+// onto three) but only inserted into once it is not (one onto five).
+func TestIndexMaintenanceMetrics(t *testing.T) {
+	st := testStore(t)
+	srv := endpoint.New(st, endpoint.Config{Loader: st, LoadToken: "s3cret"})
+	auth := map[string]string{"Authorization": "Bearer s3cret"}
+	for i, step := range []struct {
+		load                   string
+		flushes, bulk, inserts int
+	}{
+		{"", 1, 1, 0},
+		{ntFeature(0, 2, 2) + ntFeature(1, 3, 3), 2, 2, 0},
+		{ntFeature(2, 4, 4), 3, 2, 1},
+	} {
+		if step.load != "" {
+			if rec := postLoad(srv, step.load, auth); rec.Code != http.StatusOK {
+				t.Fatalf("step %d: load status = %d (%s)", i, rec.Code, rec.Body.String())
+			}
+		}
+		if rec := get(t, srv, sparqlURL(spatialQuery, ""), nil); rec.Code != http.StatusOK {
+			t.Fatalf("step %d: query status = %d", i, rec.Code)
+		}
+		body := get(t, srv, "/metrics", nil).Body.String()
+		for _, line := range []string{
+			"# TYPE store_index_flush_seconds_total counter",
+			fmt.Sprintf("store_index_flushes_total %d", step.flushes),
+			fmt.Sprintf(`store_rtree_builds_total{kind="bulk"} %d`, step.bulk),
+			fmt.Sprintf(`store_rtree_builds_total{kind="insert"} %d`, step.inserts),
+		} {
+			if !strings.Contains(body, line+"\n") {
+				t.Errorf("step %d: /metrics lacks %q", i, line)
+			}
+		}
 	}
 }

@@ -53,6 +53,9 @@ const (
 	metricMemRTreeNodes  = "store_memory_rtree_nodes"
 	metricMemRTreeSlots  = "store_memory_rtree_entries"
 	metricMemPlanEntries = "store_memory_plan_cache_entries"
+	metricIndexFlushes   = "store_index_flushes_total"
+	metricIndexFlushSecs = "store_index_flush_seconds_total"
+	metricRTreeBuilds    = "store_rtree_builds_total"
 )
 
 // metrics holds the endpoint's operational counters, registered on the
@@ -236,7 +239,7 @@ func (s *Server) registerRuntimeMetrics() {
 	if ms, ok := s.engine.(MemoryStatser); ok {
 		// Walking the store's memory accounting takes the store locks and
 		// is O(dictionary terms), so a prepare hook caches one walk per
-		// scrape and the nine gauge families below read the cached copy.
+		// scrape and the families below read the cached copy.
 		reg.AddPrepare(func() {
 			mem := ms.MemoryStats()
 			s.storeMem.Store(&mem)
@@ -270,6 +273,24 @@ func (s *Server) registerRuntimeMetrics() {
 			read(func(m *telemetry.StoreMemory) int64 { return m.RTreeEntries }))
 		reg.IntGaugeFunc(metricMemPlanEntries, "Compiled query plans held by the plan cache.",
 			read(func(m *telemetry.StoreMemory) int64 { return m.PlanCacheEntries }))
+
+		// Index maintenance, the "index merge" stage of a load, which the
+		// first read after it pays.
+		count := func(f func(*telemetry.StoreMemory) int64) func() uint64 {
+			g := read(f)
+			return func() uint64 { return uint64(g()) }
+		}
+		reg.CounterFunc(metricIndexFlushes, "Merges of loaded triples into the sorted triple indexes.",
+			count(func(m *telemetry.StoreMemory) int64 { return m.IndexFlushes }))
+		reg.FloatCounterFunc(metricIndexFlushSecs, "Seconds index merges held the store's write lock.", func() float64 {
+			if m := s.storeMem.Load(); m != nil {
+				return m.IndexFlushSeconds
+			}
+			return 0
+		})
+		builds := reg.CounterFamily(metricRTreeBuilds, "R-tree refreshes after a load, by kind: whole-tree bulk load or insertion of the new geometries.")
+		builds.AttachFunc(count(func(m *telemetry.StoreMemory) int64 { return m.RTreeBulkLoads }), "kind", "bulk")
+		builds.AttachFunc(count(func(m *telemetry.StoreMemory) int64 { return m.RTreeInsertBuilds }), "kind", "insert")
 	}
 }
 

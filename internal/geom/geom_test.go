@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -382,6 +383,84 @@ func TestRTreeBulkLoadMatchesLinearScan(t *testing.T) {
 		})
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %d results, want %d", trial, len(got), len(want))
+		}
+	}
+}
+
+// TestRTreeInsertAfterBulkLoad checks the shape geostore now builds — an
+// STR-packed tree grown by incremental inserts — against brute force on
+// every query kind, across tree sizes on both sides of a node split.
+func TestRTreeInsertAfterBulkLoad(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		randomRect := func() Rect {
+			x, y := rng.Float64()*1000, rng.Float64()*1000
+			return NewRect(x, y, x+rng.Float64()*rng.Float64()*40, y+rng.Float64()*rng.Float64()*40)
+		}
+		bulk, inserts := rng.Intn(600), rng.Intn(600)
+		bounds := make([]Rect, bulk, bulk+inserts)
+		data := make([]int64, bulk, bulk+inserts)
+		for i := range bounds {
+			bounds[i], data[i] = randomRect(), int64(i)
+		}
+		tr := NewRTree()
+		tr.BulkLoad(bounds, data)
+		for i := bulk; i < bulk+inserts; i++ {
+			r := randomRect()
+			tr.Insert(r, int64(i))
+			bounds, data = append(bounds, r), append(data, int64(i))
+		}
+		if tr.Len() != len(bounds) {
+			t.Fatalf("seed %d: Len = %d, want %d", seed, tr.Len(), len(bounds))
+		}
+		collect := func(search func(Rect, func(Rect, int64) bool), window Rect) []int64 {
+			var ids []int64
+			search(window, func(b Rect, id int64) bool {
+				if b != bounds[id] {
+					t.Fatalf("seed %d: entry %d reported with bounds %v, want %v", seed, id, b, bounds[id])
+				}
+				ids = append(ids, id)
+				return true
+			})
+			slices.Sort(ids)
+			return ids
+		}
+		for trial := 0; trial < 25; trial++ {
+			x, y := rng.Float64()*900, rng.Float64()*900
+			window := NewRect(x, y, x+rng.Float64()*200, y+rng.Float64()*200)
+			var hit, inside []int64
+			for i, b := range bounds {
+				if b.Intersects(window) {
+					hit = append(hit, int64(i))
+				}
+				if window.ContainsRect(b) {
+					inside = append(inside, int64(i))
+				}
+			}
+			if got := collect(tr.Search, window); !slices.Equal(got, hit) {
+				t.Fatalf("seed %d: Search(%v) = %v, want %v", seed, window, got, hit)
+			}
+			if got := collect(tr.SearchContained, window); !slices.Equal(got, inside) {
+				t.Fatalf("seed %d: SearchContained(%v) = %v, want %v", seed, window, got, inside)
+			}
+
+			// Nearest may break distance ties either way, so compare the
+			// distances, which are unique as a sorted sequence.
+			p, k := Point{rng.Float64() * 1000, rng.Float64() * 1000}, 1+rng.Intn(20)
+			dists := make([]float64, len(bounds))
+			for i, b := range bounds {
+				dists[i] = b.DistanceToPoint(p)
+			}
+			slices.Sort(dists)
+			got := tr.Nearest(p, k)
+			if len(got) != min(k, len(bounds)) {
+				t.Fatalf("seed %d: Nearest returned %d ids, want %d", seed, len(got), min(k, len(bounds)))
+			}
+			for i, id := range got {
+				if d := bounds[id].DistanceToPoint(p); d != dists[i] {
+					t.Fatalf("seed %d: Nearest #%d is id %d at distance %g, want distance %g", seed, i, id, d, dists[i])
+				}
+			}
 		}
 	}
 }

@@ -3,7 +3,7 @@ package geom
 import (
 	"container/heap"
 	"math"
-	"sort"
+	"slices"
 )
 
 // RTree is a spatial index over rectangles with associated integer payloads
@@ -187,78 +187,66 @@ func (t *RTree) BulkLoad(bounds []Rect, data []int64) {
 	for i := range bounds {
 		entries[i] = rtreeEntry{bounds: bounds[i], data: data[i]}
 	}
-	nodes := t.packLeaves(entries)
+	nodes := t.pack(entries, true)
 	for len(nodes) > 1 {
-		nodes = t.packLevel(nodes)
+		entries = entries[:len(nodes)]
+		for i, c := range nodes {
+			entries[i] = rtreeEntry{bounds: nodeBounds(c), child: c}
+		}
+		nodes = t.pack(entries, false)
 	}
 	t.root = nodes[0]
 }
 
-// packLeaves sorts entries into STR tiles and produces leaf nodes.
-func (t *RTree) packLeaves(entries []rtreeEntry) []*rtreeNode {
-	cap := t.maxEntry
-	n := len(entries)
-	leafCount := (n + cap - 1) / cap
-	sliceCount := int(math.Ceil(math.Sqrt(float64(leafCount))))
-	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].bounds.Center().X < entries[j].bounds.Center().X
-	})
-	perSlice := (n + sliceCount - 1) / sliceCount
-	var leaves []*rtreeNode
-	for s := 0; s < n; s += perSlice {
-		end := s + perSlice
-		if end > n {
-			end = n
-		}
-		slice := entries[s:end]
-		sort.Slice(slice, func(i, j int) bool {
-			return slice[i].bounds.Center().Y < slice[j].bounds.Center().Y
-		})
-		for i := 0; i < len(slice); i += cap {
-			j := i + cap
-			if j > len(slice) {
-				j = len(slice)
-			}
-			leaf := &rtreeNode{leaf: true, entries: append([]rtreeEntry(nil), slice[i:j]...)}
-			leaves = append(leaves, leaf)
-		}
-	}
-	return leaves
+// strKey is one entry's sort key in an STR pass: its centre coordinate
+// on the axis being sorted and its position in the entry slice. Sorting
+// these 16 pointer-free bytes instead of the entries computes every
+// centre once per pass, not twice per comparison.
+type strKey struct {
+	c float64
+	i int32
 }
 
-// packLevel groups child nodes into parent nodes, STR style.
-func (t *RTree) packLevel(children []*rtreeNode) []*rtreeNode {
-	entries := make([]rtreeEntry, len(children))
-	for i, c := range children {
-		entries[i] = rtreeEntry{bounds: nodeBounds(c), child: c}
+func cmpStrKey(a, b strKey) int {
+	switch {
+	case a.c < b.c:
+		return -1
+	case a.c > b.c:
+		return 1
 	}
-	cap := t.maxEntry
+	return 0
+}
+
+// pack groups entries into one level of nodes by sort-tile-recursive
+// packing: sort by centre X, cut into vertical slices, sort each slice by
+// centre Y, and fill nodes in that order.
+func (t *RTree) pack(entries []rtreeEntry, leaf bool) []*rtreeNode {
 	n := len(entries)
-	nodeCount := (n + cap - 1) / cap
+	keys := make([]strKey, n)
+	for i, e := range entries {
+		keys[i] = strKey{c: e.bounds.Center().X, i: int32(i)}
+	}
+	slices.SortFunc(keys, cmpStrKey)
+	nodeCount := (n + t.maxEntry - 1) / t.maxEntry
 	sliceCount := int(math.Ceil(math.Sqrt(float64(nodeCount))))
-	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].bounds.Center().X < entries[j].bounds.Center().X
-	})
 	perSlice := (n + sliceCount - 1) / sliceCount
-	var parents []*rtreeNode
+	nodes := make([]*rtreeNode, 0, nodeCount)
 	for s := 0; s < n; s += perSlice {
-		end := s + perSlice
-		if end > n {
-			end = n
+		slice := keys[s:min(s+perSlice, n)]
+		for k := range slice {
+			slice[k].c = entries[slice[k].i].bounds.Center().Y
 		}
-		slice := entries[s:end]
-		sort.Slice(slice, func(i, j int) bool {
-			return slice[i].bounds.Center().Y < slice[j].bounds.Center().Y
-		})
-		for i := 0; i < len(slice); i += cap {
-			j := i + cap
-			if j > len(slice) {
-				j = len(slice)
+		slices.SortFunc(slice, cmpStrKey)
+		for i := 0; i < len(slice); i += t.maxEntry {
+			group := slice[i:min(i+t.maxEntry, len(slice))]
+			node := &rtreeNode{leaf: leaf, entries: make([]rtreeEntry, len(group))}
+			for k, key := range group {
+				node.entries[k] = entries[key.i]
 			}
-			parents = append(parents, &rtreeNode{entries: append([]rtreeEntry(nil), slice[i:j]...)})
+			nodes = append(nodes, node)
 		}
 	}
-	return parents
+	return nodes
 }
 
 // Search calls fn for every entry whose bounds intersect the window.

@@ -100,8 +100,20 @@ type Store struct {
 	geoms map[rdf.ID]geom.Geometry
 	// rtree indexes geometry bounds by WKT literal dictionary ID.
 	rtree *geom.RTree
-	dirty bool
+	// unindexed lists the geometries registered since the R-tree was last
+	// refreshed; bulkLen is the tree's size at its last bulk load, so
+	// len(geoms)-bulkLen geometries arrived by insertion (see Build).
+	unindexed []rdf.ID
+	bulkLen   int
+	// bulkLoads and insertBuilds count the refreshes of either kind.
+	bulkLoads, insertBuilds int64
 }
+
+// rebulkFraction bounds how far incremental inserts may grow the R-tree
+// before it is repacked: once the geometries inserted since the last bulk
+// load exceed 1/rebulkFraction of those it packed, the next refresh bulk
+// loads again.
+const rebulkFraction = 4
 
 // New returns an empty store in the given mode.
 func New(mode Mode) *Store {
@@ -175,7 +187,7 @@ func (s *Store) Add(sub, pred, obj rdf.Term) error {
 				return fmt.Errorf("geostore: %w", err)
 			}
 			s.geoms[id] = g
-			s.dirty = true
+			s.unindexed = append(s.unindexed, id)
 		}
 		s.mu.Unlock()
 	}
@@ -192,7 +204,7 @@ func (s *Store) RegisterGeometry(obj rdf.Term, g geom.Geometry) {
 	s.mu.Lock()
 	if _, ok := s.geoms[id]; !ok {
 		s.geoms[id] = g
-		s.dirty = true
+		s.unindexed = append(s.unindexed, id)
 	}
 	s.mu.Unlock()
 }
@@ -252,7 +264,7 @@ func (s *Store) RestoreGeometries() error {
 	for i, p := range todo {
 		if _, ok := s.geoms[p.id]; !ok {
 			s.geoms[p.id] = parsed[i]
-			s.dirty = true
+			s.unindexed = append(s.unindexed, p.id)
 		}
 	}
 	s.mu.Unlock()
@@ -305,28 +317,44 @@ func (s *Store) AddFeature(f Feature) error {
 	return nil
 }
 
-// Build bulk-loads the R-tree from the registered geometries. Queries call
-// it implicitly when the index is stale, but bulk loaders should call it
-// once after ingest for deterministic timing.
+// Build brings the R-tree up to date with the registered geometries.
+// Queries call it implicitly, and it returns under the read lock alone
+// when nothing was registered since the last call; bulk loaders should
+// call it once after ingest for deterministic timing. Geometries
+// registered since the last refresh are inserted one by one, so a small
+// load costs its own size; an empty tree, or one that inserts have grown
+// past 1/rebulkFraction of its last packed size, is bulk-loaded afresh,
+// which restores the packing quality inserts erode.
 func (s *Store) Build() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.buildLocked()
-}
-
-func (s *Store) buildLocked() {
-	if !s.dirty {
+	s.mu.RLock()
+	stale := len(s.unindexed) > 0
+	s.mu.RUnlock()
+	if !stale {
 		return
 	}
-	bounds := make([]geom.Rect, 0, len(s.geoms))
-	data := make([]int64, 0, len(s.geoms))
-	for id, g := range s.geoms {
-		bounds = append(bounds, g.Bounds())
-		data = append(data, int64(id))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.unindexed) == 0 {
+		return // another caller refreshed it in between
 	}
-	s.rtree = geom.NewRTree()
-	s.rtree.BulkLoad(bounds, data)
-	s.dirty = false
+	if (len(s.geoms)-s.bulkLen)*rebulkFraction > s.bulkLen {
+		bounds := make([]geom.Rect, 0, len(s.geoms))
+		data := make([]int64, 0, len(s.geoms))
+		for id, g := range s.geoms {
+			bounds = append(bounds, g.Bounds())
+			data = append(data, int64(id))
+		}
+		s.rtree = geom.NewRTree()
+		s.rtree.BulkLoad(bounds, data)
+		s.bulkLen = len(s.geoms)
+		s.bulkLoads++
+	} else {
+		for _, id := range s.unindexed {
+			s.rtree.Insert(s.geoms[id].Bounds(), int64(id))
+		}
+		s.insertBuilds++
+	}
+	s.unindexed = nil
 }
 
 // QueryString parses and evaluates an stSPARQL query.
@@ -411,9 +439,7 @@ func (s *Store) queryIndexed(ctx context.Context, q *sparql.Query, analyze bool)
 	if len(entry.spatial) > 0 || len(entry.joins) > 0 {
 		// Both the seed scan and the spatial-join probe steps read the
 		// R-tree during execution.
-		s.mu.Lock()
-		s.buildLocked()
-		s.mu.Unlock()
+		s.Build()
 	}
 	var seeds []rdf.Row
 	if len(entry.spatial) > 0 {
@@ -1017,6 +1043,7 @@ func (s *Store) MemoryStats() telemetry.StoreMemory {
 	s.mu.RLock()
 	m.Geometries = int64(len(s.geoms))
 	nodes, entries := s.rtree.Stats()
+	m.RTreeBulkLoads, m.RTreeInsertBuilds = s.bulkLoads, s.insertBuilds
 	s.mu.RUnlock()
 	m.RTreeNodes = int64(nodes)
 	m.RTreeEntries = int64(entries)
@@ -1036,7 +1063,12 @@ func (ps *PartitionedStore) MemoryStats() telemetry.StoreMemory {
 	merged := ps.merged
 	ps.mergedMu.Unlock()
 	if merged != nil {
-		m.Add(merged.MemoryStats())
+		mm := merged.MemoryStats()
+		// The merged store is a cache rebuilt from the partitions, not a
+		// load target; counting its one build would make the maintenance
+		// totals fall each time it is retired.
+		mm.IndexFlushes, mm.IndexFlushSeconds, mm.RTreeBulkLoads, mm.RTreeInsertBuilds = 0, 0, 0, 0
+		m.Add(mm)
 	}
 	m.Partitions = int64(len(ps.parts))
 	return m

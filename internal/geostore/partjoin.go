@@ -298,9 +298,7 @@ func (ps *PartitionedStore) queryBuildSide(q *sparql.Query, geomVar string, wind
 // queryWindowSeeded evaluates q on one partition seeded by the local
 // geometry IDs whose bounds intersect any of the windows.
 func (s *Store) queryWindowSeeded(q *sparql.Query, geomVar string, windows []geom.Rect) (*sparql.Results, error) {
-	s.mu.Lock()
-	s.buildLocked()
-	s.mu.Unlock()
+	s.Build()
 
 	candidates := map[rdf.ID]bool{}
 	s.mu.RLock()

@@ -224,41 +224,48 @@ func (s *Store) queryStats() *execStats {
 }
 
 // buildStatsLocked computes execStats; caller holds at least a read lock
-// and pending writes are flushed.
+// and pending writes are flushed. Predicates are few and triples many,
+// so no pass looks a predicate up per triple.
 func (s *Store) buildStatsLocked() *execStats {
 	st := &execStats{version: s.version, total: len(s.spo), pred: make(map[ID]*predStat)}
-	statFor := func(p ID) *predStat {
-		ps := st.pred[p]
-		if ps == nil {
-			ps = &predStat{}
-			st.pred[p] = ps
-		}
-		return ps
-	}
-	// SPO pass: distinct subjects, and distinct (S,P) pairs per predicate.
-	var prevS, prevP ID
-	for i, t := range s.spo {
-		if i == 0 || t.S != prevS {
-			st.distinctS++
-		}
-		if i == 0 || t.S != prevS || t.P != prevP {
-			statFor(t.P).distinctS++
-		}
-		prevS, prevP = t.S, t.P
-	}
 	// POS pass: per-predicate counts, distinct predicates, and distinct
-	// (P,O) pairs per predicate.
-	var prevO ID
+	// (P,O) pairs per predicate. A predicate's triples are contiguous, so
+	// its entry is created once per run.
+	var ps *predStat
+	var prevP, prevO ID
 	for i, t := range s.pos {
-		ps := statFor(t.P)
-		ps.count++
 		if i == 0 || t.P != prevP {
+			ps = &predStat{}
+			st.pred[t.P] = ps
 			st.distinctP++
 		}
+		ps.count++
 		if i == 0 || t.P != prevP || t.O != prevO {
 			ps.distinctO++
 		}
 		prevP, prevO = t.P, t.O
+	}
+	// SPO pass: distinct subjects, and distinct (S,P) pairs per predicate:
+	// its triples minus those repeating their predecessor's (S,P), so only
+	// a multi-valued (S,P) run resolves its predicate, once.
+	for _, ps := range st.pred {
+		ps.distinctS = ps.count
+	}
+	var prevS ID
+	for i, t := range s.spo {
+		switch {
+		case i == 0 || t.S != prevS:
+			st.distinctS++
+			ps = nil
+		case t.P != prevP:
+			ps = nil
+		default:
+			if ps == nil {
+				ps = st.pred[t.P]
+			}
+			ps.distinctS--
+		}
+		prevS, prevP = t.S, t.P
 	}
 	// OSP pass: distinct objects.
 	for i, t := range s.osp {

@@ -2,9 +2,11 @@ package rdf
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -18,10 +20,13 @@ type EncTriple struct {
 // sorted index orderings (SPO, POS, OSP) so every triple-pattern shape has
 // a matching range-scan access path.
 //
-// Writes (Add/AddTriple) buffer into a pending log; the indexes are
-// rebuilt lazily on first read after a write. This favours the bulk-load
-// then query-many pattern of the experiments while still allowing
-// interleaved updates. All methods are safe for concurrent use.
+// Writes (Add/AddTriple) only append to a pending run, so loading never
+// pays for index maintenance. The first read after a write flushes it
+// under the write lock: the run is sorted and merged into each index
+// (flushLocked), which costs a sort of the batch plus one linear pass per
+// index, not a re-sort of the store; a store with nothing indexed yet
+// (boot, snapshot install) sorts the run once and adopts it. All methods
+// are safe for concurrent use.
 type Store struct {
 	dict *Dict
 
@@ -39,6 +44,10 @@ type Store struct {
 	version uint64
 	journal Journal
 	jerr    error
+
+	// flushes and flushTime account for the index merges (MemoryStats).
+	flushes   int64
+	flushTime time.Duration
 
 	// stats caches the query planner's cardinality statistics; it is
 	// rebuilt lazily when version moves past the cached value (exec.go).
@@ -191,42 +200,83 @@ func (s *Store) rebuildSeenLocked() {
 	s.seen = seen
 }
 
-// flushLocked merges pending triples into the three sorted indexes. Caller
-// must hold the write lock.
+// flushLocked merges pending triples into the three sorted indexes:
+// the pending run is sorted under each ordering and merged backward, in
+// place, into the already-sorted index, so a flush costs a sort of the
+// run plus one linear pass rather than a re-sort of the whole store. With
+// nothing indexed yet (boot, snapshot install) the run itself becomes the
+// indexes. Caller must hold the write lock.
 func (s *Store) flushLocked() {
 	if len(s.pending) == 0 {
 		return
 	}
-	s.spo = append(s.spo, s.pending...)
-	s.pos = append(s.pos, s.pending...)
-	s.osp = append(s.osp, s.pending...)
-	s.pending = s.pending[:0]
-	sort.Slice(s.spo, func(i, j int) bool { return lessSPO(s.spo[i], s.spo[j]) })
-	sort.Slice(s.pos, func(i, j int) bool { return lessPOS(s.pos[i], s.pos[j]) })
-	sort.Slice(s.osp, func(i, j int) bool { return lessOSP(s.osp[i], s.osp[j]) })
-	// Compact duplicates (possible only when a snapshot was installed
-	// without its dedup set and the file contained repeats).
-	s.spo = compactSorted(s.spo)
-	s.pos = compactSorted(s.pos)
-	s.osp = compactSorted(s.osp)
-	if s.count != len(s.spo) {
-		s.count = len(s.spo)
+	start := time.Now()
+	if len(s.spo) == 0 {
+		// The store owns pending (see installPreparedLocked), so it
+		// becomes one index as is; only the other two are copies.
+		s.spo, s.pending = s.pending, nil
+		s.pos = slices.Clone(s.spo)
+		s.osp = slices.Clone(s.spo)
+		// Compact duplicates (possible only when a snapshot was installed
+		// without its dedup set and the file contained repeats).
+		s.spo = slices.Compact(sortBy(s.spo, lessSPO))
+		s.pos = slices.Compact(sortBy(s.pos, lessPOS))
+		s.osp = slices.Compact(sortBy(s.osp, lessOSP))
+	} else {
+		s.spo = mergeSorted(s.spo, sortBy(s.pending, lessSPO), lessSPO)
+		s.pos = mergeSorted(s.pos, sortBy(s.pending, lessPOS), lessPOS)
+		s.osp = mergeSorted(s.osp, sortBy(s.pending, lessOSP), lessOSP)
+		s.pending = s.pending[:0]
 	}
+	s.count = len(s.spo)
+	s.flushes++
+	s.flushTime += time.Since(start)
 }
 
-// compactSorted removes adjacent duplicates from a sorted index slice.
-func compactSorted(ts []EncTriple) []EncTriple {
-	if len(ts) < 2 {
-		return ts
-	}
-	w := 1
-	for i := 1; i < len(ts); i++ {
-		if ts[i] != ts[w-1] {
-			ts[w] = ts[i]
-			w++
+// sortBy sorts ts in place under less and returns it.
+func sortBy(ts []EncTriple, less func(a, b EncTriple) bool) []EncTriple {
+	slices.SortFunc(ts, func(a, b EncTriple) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
+	})
+	return ts
+}
+
+// mergeSorted merges run into base, both sorted under less, and returns
+// the extended base. base must be duplicate-free; triples of run equal to
+// one in base or to their predecessor in run are dropped. The merge runs backward inside base's own array,
+// which append grows geometrically, so a small run reallocates nothing
+// and moves only the triples that sort after its first element.
+func mergeSorted(base, run []EncTriple, less func(a, b EncTriple) bool) []EncTriple {
+	i, j := len(base)-1, len(run)-1
+	base = append(base, run...)
+	k := len(base) - 1 // next slot to fill; base[k+1:] is merged output
+	for j >= 0 {
+		t := run[j]
+		switch {
+		case i >= 0 && less(t, base[i]):
+			base[k] = base[i]
+			i--
+			k--
+		case (i >= 0 && t == base[i]) || (k+1 < len(base) && t == base[k+1]):
+			j--
+		default:
+			base[k] = t
+			j--
+			k--
 		}
 	}
-	return ts[:w]
+	// base[:i+1] never moved; every dropped duplicate left one free slot
+	// between it and the merged output.
+	if k > i {
+		base = base[:i+1+copy(base[i+1:], base[k+1:])]
+	}
+	return base
 }
 
 // ensureIndexed flushes pending writes if any, upgrading the lock.
@@ -521,7 +571,9 @@ func (s *Store) MemoryStats() telemetry.StoreMemory {
 		},
 		// seen is nil (0) while the lazily-built dedup set is unbuilt
 		// after a snapshot install.
-		DedupEntries: int64(len(s.seen)),
+		DedupEntries:      int64(len(s.seen)),
+		IndexFlushes:      s.flushes,
+		IndexFlushSeconds: s.flushTime.Seconds(),
 	}
 	m.IndexBytes = m.TriplesIndexed() * encTripleBytes
 	return m

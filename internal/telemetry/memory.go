@@ -2,10 +2,12 @@ package telemetry
 
 // StoreMemory is a point-in-time memory accounting of a store: the
 // dictionary, the triple indexes, the geometry index and the caches
-// that dominate the process's heap. rdf.Store fills the dictionary and
+// that dominate the process's heap, plus how often the indexes were
+// brought up to date after loads. rdf.Store fills the dictionary and
 // index fields; geostore's stores add the spatial fields and, for the
 // partitioned flavour, sum their partitions. Exposed as store_memory_*
-// gauges on /metrics and verbatim under GET /debug/store.
+// gauges and store_index_*/store_rtree_* counters on /metrics and
+// verbatim under GET /debug/store.
 type StoreMemory struct {
 	// DictTerms is the number of interned terms; DictBytes is the total
 	// text bytes they hold (value + datatype + language tag), excluding
@@ -19,6 +21,11 @@ type StoreMemory struct {
 	// DedupEntries is the size of the write-path dedup set (0 while it
 	// is lazily unbuilt after a snapshot install).
 	DedupEntries int64 `json:"dedup_entries"`
+	// IndexFlushes counts the merges of a pending run into the sorted
+	// indexes (one per first read after a write) and IndexFlushSeconds is
+	// the time they held the store's write lock, both since start.
+	IndexFlushes      int64   `json:"index_flushes"`
+	IndexFlushSeconds float64 `json:"index_flush_seconds"`
 
 	// Geometries is the number of parsed geometries held by geostore;
 	// RTreeNodes/RTreeEntries size the spatial index; PlanCacheEntries
@@ -27,6 +34,11 @@ type StoreMemory struct {
 	RTreeNodes       int64 `json:"rtree_nodes"`
 	RTreeEntries     int64 `json:"rtree_entries"`
 	PlanCacheEntries int64 `json:"plan_cache_entries"`
+	// RTreeBulkLoads and RTreeInsertBuilds count, since start, the R-tree
+	// refreshes that repacked the whole tree and those that inserted only
+	// the geometries registered since the previous one.
+	RTreeBulkLoads    int64 `json:"rtree_bulk_loads"`
+	RTreeInsertBuilds int64 `json:"rtree_insert_builds"`
 
 	// Partitions is the partition count a partitioned store summed over
 	// (0 for single stores).
@@ -46,10 +58,14 @@ func (m *StoreMemory) Add(o StoreMemory) {
 	}
 	m.IndexBytes += o.IndexBytes
 	m.DedupEntries += o.DedupEntries
+	m.IndexFlushes += o.IndexFlushes
+	m.IndexFlushSeconds += o.IndexFlushSeconds
 	m.Geometries += o.Geometries
 	m.RTreeNodes += o.RTreeNodes
 	m.RTreeEntries += o.RTreeEntries
 	m.PlanCacheEntries += o.PlanCacheEntries
+	m.RTreeBulkLoads += o.RTreeBulkLoads
+	m.RTreeInsertBuilds += o.RTreeInsertBuilds
 }
 
 // TriplesIndexed returns the summed index triple counts (the spo count

@@ -263,6 +263,13 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	f.samples = append(f.samples, sample{read: func() value { return uintValue(fn()) }})
 }
 
+// FloatCounterFunc is CounterFunc for a counter that accumulates a
+// fractional quantity (seconds spent), printed in %g notation.
+func (r *Registry) FloatCounterFunc(name, help string, fn func() float64) {
+	f := r.newFamily(name, help, "counter")
+	f.samples = append(f.samples, sample{read: func() value { return floatValue(fn()) }})
+}
+
 // CounterFamily is a counter family that carries labeled (and
 // optionally one unlabeled) series.
 type CounterFamily struct{ f *family }
