@@ -14,7 +14,6 @@
 package endpoint
 
 import (
-	"bytes"
 	"context"
 	"crypto/subtle"
 	"encoding/json"
@@ -532,32 +531,26 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if analyze {
-		s.writeAnalyzed(w, res, prof, geomVar, start)
+		s.writeAnalyzed(w, res, prof, start)
 		return
 	}
-	var buf bytes.Buffer
-	if err := WriteResults(&buf, format, res, geomVar); err != nil {
+	body, err := appendResults(nil, format, res, geomVar)
+	if err != nil {
 		s.metrics.countError(errKindSerialize)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.cache.put(key, buf.Bytes(), res.Len())
-	s.finish(w, format, buf.Bytes(), false, start)
+	s.cache.put(key, body, res.Len())
+	s.finish(w, format, body, false, start)
 }
 
 // writeAnalyzed writes the ?analyze=1 response: a JSON envelope with
 // the execution profile and the SPARQL JSON results side by side.
-func (s *Server) writeAnalyzed(w http.ResponseWriter, res *sparql.Results, prof *sparql.Profile, geomVar string, start time.Time) {
-	var rbuf bytes.Buffer
-	if err := WriteResults(&rbuf, FormatJSON, res, geomVar); err != nil {
-		s.metrics.countError(errKindSerialize)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+func (s *Server) writeAnalyzed(w http.ResponseWriter, res *sparql.Results, prof *sparql.Profile, start time.Time) {
 	env := struct {
 		Profile *sparql.Profile `json:"profile"`
 		Results json.RawMessage `json:"results"`
-	}{Profile: prof, Results: json.RawMessage(rbuf.Bytes())}
+	}{Profile: prof, Results: appendSPARQLJSON(nil, res)}
 	body, err := json.Marshal(env)
 	if err != nil {
 		s.metrics.countError(errKindSerialize)

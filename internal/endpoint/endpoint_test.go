@@ -83,6 +83,12 @@ func TestContentNegotiation(t *testing.T) {
 		{"geojson", "application/geo+json", "", 200, "application/geo+json", `"FeatureCollection"`},
 		{"browser-style list", "text/html, application/json;q=0.9, */*;q=0.1", "", 200, "application/sparql-results+json", `"head"`},
 		{"wildcard", "*/*", "", 200, "application/sparql-results+json", `"head"`},
+		{"q=0 range skipped", "application/geo+json;q=0, application/sparql-results+json", "", 200, "application/sparql-results+json", `"head"`},
+		{"q=0.0 with spaces skipped", "text/csv ; q=0.0 , text/tab-separated-values", "", 200, "text/tab-separated-values; charset=utf-8", "f\twkt"},
+		{"Q=0 case-insensitive", "application/geo+json;Q=0,text/csv", "", 200, "text/csv; charset=utf-8", "f,wkt"},
+		{"nonzero q kept", "application/geo+json;q=0.001", "", 200, "application/geo+json", `"FeatureCollection"`},
+		{"only q=0 ranges", "application/geo+json;q=0, text/csv;q=0", "", 406, "", ""},
+		{"q=0 wildcard", "*/*;q=0", "", 406, "", ""},
 		{"unsupported", "application/rdf+xml", "", 406, "", ""},
 		{"format param beats accept", "text/csv", "format=geojson", 200, "application/geo+json", `"FeatureCollection"`},
 		{"bad format param", "", "format=parquet", 400, "", ""},

@@ -1,12 +1,16 @@
 package endpoint
 
 import (
+	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 
+	"repro/internal/jsonappend"
 	"repro/internal/rdf"
 	"repro/internal/sextant"
 	"repro/internal/sparql"
@@ -86,16 +90,21 @@ var acceptFormats = []struct {
 }
 
 // NegotiateFormat picks a format from an Accept header value. Media ranges
-// are considered in the order they appear; q-values beyond presence are
-// ignored (first supported range wins). Empty or wildcard accepts default
-// to SPARQL JSON; ok is false when the header names only unsupported types.
+// are considered in the order they appear; a range with q=0 is "not
+// acceptable" (RFC 9110 §12.4.2) and skipped, other q-values are ignored
+// (first supported range wins). Empty or wildcard accepts default to
+// SPARQL JSON; ok is false when the header names only unsupported types.
 func NegotiateFormat(accept string) (Format, bool) {
 	if strings.TrimSpace(accept) == "" {
 		return FormatJSON, true
 	}
 	any := false
 	for _, part := range strings.Split(accept, ",") {
-		mime := strings.TrimSpace(strings.SplitN(part, ";", 2)[0])
+		mime, params, _ := strings.Cut(part, ";")
+		mime = strings.TrimSpace(mime)
+		if rejected(params) {
+			continue
+		}
 		if mime == "*/*" || mime == "application/*" || mime == "text/*" {
 			any = true
 			continue
@@ -112,70 +121,132 @@ func NegotiateFormat(accept string) (Format, bool) {
 	return FormatJSON, false
 }
 
+// rejected reports whether a media range's parameters carry a zero
+// q-value ("q=0", "q=0.0", "q=0.000").
+func rejected(params string) bool {
+	for _, p := range strings.Split(params, ";") {
+		name, value, _ := strings.Cut(p, "=")
+		if strings.EqualFold(strings.TrimSpace(name), "q") {
+			q, err := strconv.ParseFloat(strings.TrimSpace(value), 64)
+			return err == nil && q == 0
+		}
+	}
+	return false
+}
+
 // WriteResults serializes res to w in the given format. For FormatGeoJSON,
 // geomVar names the variable holding WKT literals; when empty it is
 // auto-detected as the first projected variable binding a wktLiteral.
 func WriteResults(w io.Writer, f Format, res *sparql.Results, geomVar string) error {
-	switch f {
-	case FormatCSV:
-		return writeSV(w, res, ',')
-	case FormatTSV:
-		return writeSV(w, res, '\t')
-	case FormatGeoJSON:
-		return writeGeoJSON(w, res, geomVar)
-	default:
-		return writeSPARQLJSON(w, res)
-	}
-}
-
-// jsonTerm is one RDF term in SPARQL JSON results form.
-type jsonTerm struct {
-	Type     string `json:"type"`
-	Value    string `json:"value"`
-	Datatype string `json:"datatype,omitempty"`
-	Lang     string `json:"xml:lang,omitempty"`
-}
-
-func termJSON(t rdf.Term) jsonTerm {
-	switch t.Kind {
-	case rdf.IRI:
-		return jsonTerm{Type: "uri", Value: t.Value}
-	case rdf.Blank:
-		return jsonTerm{Type: "bnode", Value: t.Value}
-	default:
-		return jsonTerm{Type: "literal", Value: t.Value, Datatype: t.Datatype, Lang: t.Lang}
-	}
-}
-
-// writeSPARQLJSON streams the W3C SPARQL 1.1 JSON results document.
-func writeSPARQLJSON(w io.Writer, res *sparql.Results) error {
-	head, err := json.Marshal(res.Vars)
+	body, err := appendResults(nil, f, res, geomVar)
 	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, `{"head":{"vars":%s},"results":{"bindings":[`, head); err != nil {
-		return err
+	_, err = w.Write(body)
+	return err
+}
+
+// appendResults appends res serialized in format f to dst. The JSON
+// writers append bytes directly, byte-identical to encoding/json's output
+// for the map shapes they replace; CSV/TSV go through encoding/csv.
+func appendResults(dst []byte, f Format, res *sparql.Results, geomVar string) ([]byte, error) {
+	switch f {
+	case FormatCSV, FormatTSV:
+		sep := ','
+		if f == FormatTSV {
+			sep = '\t'
+		}
+		buf := bytes.NewBuffer(dst)
+		err := writeSV(buf, res, sep)
+		return buf.Bytes(), err
+	case FormatGeoJSON:
+		return appendGeoJSON(dst, res, geomVar)
+	default:
+		return appendSPARQLJSON(dst, res), nil
 	}
+}
+
+// appendSPARQLJSON appends the W3C SPARQL 1.1 JSON results document. Each
+// binding object lists its variables in sorted order and each term its
+// fields as type, value, datatype, xml:lang (the last two when set).
+func appendSPARQLJSON(dst []byte, res *sparql.Results) []byte {
+	dst = append(dst, `{"head":{"vars":`...)
+	if res.Vars == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, v := range res.Vars {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = jsonappend.String(dst, v)
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `},"results":{"bindings":[`...)
+	keys := sortedUnique(res.Vars)
 	for i, row := range res.Rows {
 		if i > 0 {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
+			dst = append(dst, ',')
+		}
+		mark := len(dst)
+		var n int
+		if dst, n = appendBinding(dst, row, keys); n != len(row) {
+			// The row binds a variable outside the projection: sort its
+			// own keys instead.
+			keys := make([]string, 0, len(row))
+			for v := range row {
+				keys = append(keys, v)
 			}
-		}
-		binding := make(map[string]jsonTerm, len(row))
-		for v, t := range row {
-			binding[v] = termJSON(t)
-		}
-		buf, err := json.Marshal(binding)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
+			sort.Strings(keys)
+			dst, _ = appendBinding(dst[:mark], row, keys)
 		}
 	}
-	_, err = io.WriteString(w, "]}}\n")
-	return err
+	return append(dst, "]}}\n"...)
+}
+
+// appendBinding appends one binding object over the keys row binds, in
+// the order given, and reports how many it wrote.
+func appendBinding(dst []byte, row map[string]rdf.Term, keys []string) ([]byte, int) {
+	dst = append(dst, '{')
+	n := 0
+	for _, v := range keys {
+		t, ok := row[v]
+		if !ok {
+			continue
+		}
+		if n > 0 {
+			dst = append(dst, ',')
+		}
+		n++
+		dst = append(jsonappend.String(dst, v), `:{"type":`...)
+		switch t.Kind {
+		case rdf.IRI:
+			dst = append(dst, `"uri"`...)
+		case rdf.Blank:
+			dst = append(dst, `"bnode"`...)
+		default:
+			dst = append(dst, `"literal"`...)
+		}
+		dst = jsonappend.String(append(dst, `,"value":`...), t.Value)
+		if t.Kind != rdf.IRI && t.Kind != rdf.Blank {
+			if t.Datatype != "" {
+				dst = jsonappend.String(append(dst, `,"datatype":`...), t.Datatype)
+			}
+			if t.Lang != "" {
+				dst = jsonappend.String(append(dst, `,"xml:lang":`...), t.Lang)
+			}
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, '}'), n
+}
+
+// sortedUnique returns the sorted distinct strings of vs.
+func sortedUnique(vs []string) []string {
+	out := slices.Clone(vs)
+	sort.Strings(out)
+	return slices.Compact(out)
 }
 
 // writeSV emits the CSV/TSV results formats: a header row of variable
@@ -216,31 +287,23 @@ func DetectGeometryVar(res *sparql.Results) string {
 	return ""
 }
 
-// writeGeoJSON streams rows as a GeoJSON FeatureCollection through
-// sextant's streaming serializer: one feature per row binding a parsable
-// geometry, every other projected variable a feature property.
-func writeGeoJSON(w io.Writer, res *sparql.Results, geomVar string) error {
+// appendGeoJSON appends rows as a GeoJSON FeatureCollection through
+// sextant's row encoder: one feature per row binding a parsable geometry,
+// every other projected variable a feature property.
+func appendGeoJSON(dst []byte, res *sparql.Results, geomVar string) ([]byte, error) {
 	if geomVar == "" {
 		geomVar = DetectGeometryVar(res)
 	}
 	if geomVar == "" && len(res.Rows) > 0 {
-		return fmt.Errorf("endpoint: no geometry variable in results (vars %v)", res.Vars)
+		return dst, fmt.Errorf("endpoint: no geometry variable in results (vars %v)", res.Vars)
 	}
-	s, err := sextant.NewGeoJSONStreamer(w, "results")
-	if err != nil {
-		return err
-	}
+	dst = sextant.AppendCollectionStart(dst, "results")
+	enc := sextant.NewRowEncoder(res.Vars, geomVar, "row/")
 	for i, row := range res.Rows {
-		f, ok := sextant.RowFeature(row, res.Vars, geomVar)
-		if !ok {
-			continue
-		}
-		if f.ID == "" {
-			f.ID = fmt.Sprintf("row/%d", i)
-		}
-		if err := s.Write(f); err != nil {
-			return err
+		var err error
+		if dst, err = enc.Append(dst, row, i); err != nil {
+			return dst, err
 		}
 	}
-	return s.Close()
+	return sextant.AppendCollectionEnd(dst), nil
 }

@@ -942,16 +942,56 @@ func (st *execState) runScan(i int, step *planStep, row Row) bool {
 	return ok
 }
 
+// mergeKey is the key a merge segment is sorted by: the object for the
+// mergeO kinds, the subject for mergeS.
+//
+//eevet:hotpath
+func mergeKey(t EncTriple, onO bool) ID {
+	if onO {
+		return t.O
+	}
+	return t.S
+}
+
+// seek returns the first position at or after c whose merge key is >= k,
+// or len(seg). It gallops: probes c, c+1, c+3, c+7, … until one passes k,
+// then binary-searches the last gap, so moving the cursor d entries costs
+// O(log d) comparisons — a sparse seed stream no longer walks the
+// segment, and a dense one (d ≈ 1) costs what a linear step did.
+//
+//eevet:hotpath
+func seek(seg []EncTriple, c int, k ID, onO bool) int {
+	if c >= len(seg) || mergeKey(seg[c], onO) >= k {
+		return c
+	}
+	// Invariant: key(lo) < k, and hi == len(seg) or key(hi) >= k.
+	lo, hi := c, c+1
+	for step := 1; hi < len(seg) && mergeKey(seg[hi], onO) < k; step <<= 1 {
+		lo = hi
+		hi = lo + 2*step
+	}
+	if hi > len(seg) {
+		hi = len(seg)
+	}
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if mergeKey(seg[mid], onO) < k {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
+}
+
 // runMergeS advances the sorted POS(p,o) subject cursor in lock-step with
 // the stream (sorted semi-join: the pattern binds nothing new).
 //
 //eevet:hotpath
 func (st *execState) runMergeS(i int, step *planStep, row Row) bool {
-	seg, c := st.segs[i], st.cursors[i]
+	seg := st.segs[i]
 	k := row[step.mergeSlot]
-	for c < len(seg) && seg[c].S < k {
-		c++
-	}
+	c := seek(seg, st.cursors[i], k, false)
 	st.cursors[i] = c
 	if c >= len(seg) {
 		// The stream is ascending, so no later row can match either.
@@ -981,11 +1021,9 @@ func (st *execState) runMergeS(i int, step *planStep, row Row) bool {
 //
 //eevet:hotpath
 func (st *execState) runMergeO(i int, step *planStep, row Row) bool {
-	seg, c := st.segs[i], st.cursors[i]
+	seg := st.segs[i]
 	k := row[step.mergeSlot]
-	for c < len(seg) && seg[c].O < k {
-		c++
-	}
+	c := seek(seg, st.cursors[i], k, true)
 	st.cursors[i] = c
 	if c >= len(seg) {
 		return false
