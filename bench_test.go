@@ -378,13 +378,6 @@ func BenchmarkSpatialJoin_Query_Index_10kx10k(b *testing.B) {
 	benchSpatialJoinQuery(b, st)
 }
 
-func BenchmarkSpatialJoin_Query_Partitioned4_10kx10k(b *testing.B) {
-	ps := geostore.NewPartitioned(4)
-	spatialJoinStore(b, ps.AddFeature, 10000)
-	ps.Build()
-	benchSpatialJoinQuery(b, ps)
-}
-
 // --- E9: federation ---
 
 func benchFederation(b *testing.B, disableSelection bool) {

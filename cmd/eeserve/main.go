@@ -10,7 +10,6 @@
 // Usage:
 //
 //	eeserve -addr :8080 -n 100000
-//	eeserve -mode partitioned -parts 4 -n 1000000
 //	eeserve -load data.nt -n 0
 //	eeserve -data-dir /var/lib/eeserve -load-token s3cret
 //	eeserve -query-workers 8            # morsel-parallel execution: up to 8
@@ -74,10 +73,8 @@ func run(args []string) error {
 	fs.SetOutput(os.Stderr)
 	addr := fs.String("addr", ":8080", "listen address")
 	n := fs.Int("n", 10000, "synthetic point features to load (0 for none)")
-	mode := fs.String("mode", "indexed", "store mode: indexed, naive or partitioned")
-	parts := fs.Int("parts", 4, "partition count for -mode partitioned")
 	seed := fs.Int64("seed", 42, "workload seed")
-	load := fs.String("load", "", "N-Triples file to load (indexed/naive modes)")
+	load := fs.String("load", "", "N-Triples file to load")
 	cacheSize := fs.Int("cache", 256, "result cache entries (negative disables)")
 	maxInFlight := fs.Int("max-inflight", 16, "max concurrently evaluating queries")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-query timeout")
@@ -113,9 +110,6 @@ func run(args []string) error {
 		if *dataDir == "" || *replToken == "" {
 			return fmt.Errorf("-replica-of requires -data-dir and -replication-token")
 		}
-		if *mode == "partitioned" {
-			return fmt.Errorf("-replica-of is only supported with indexed/naive modes")
-		}
 		if *load != "" || *loadToken != "" {
 			return fmt.Errorf("a replica is read-only; drop -load/-load-token and ingest on the primary")
 		}
@@ -149,8 +143,6 @@ func run(args []string) error {
 	reg := telemetry.NewRegistry()
 
 	extent := geom.NewRect(0, 0, 10000, 10000)
-	var engine endpoint.Engine
-	var loader endpoint.Loader
 	var db *storage.DB
 	// One server-wide pool bounds executor goroutines across concurrent
 	// queries: admission control caps queries, the pool caps the extra
@@ -161,145 +153,115 @@ func run(args []string) error {
 	}
 	var feed *replication.Feed
 	var rep *replication.Replica
-	switch *mode {
-	case "indexed", "naive":
-		m := geostore.ModeIndexed
-		if *mode == "naive" {
-			m = geostore.ModeNaive
-		}
-		st := geostore.New(m)
-		if pool != nil {
-			st.SetParallel(*queryWorkers, pool)
-		}
-		st.SetLogger(logger)
+	st := geostore.New(geostore.ModeIndexed)
+	if pool != nil {
+		st.SetParallel(*queryWorkers, pool)
+	}
+	st.SetLogger(logger)
 
-		if *dataDir != "" {
-			if isReplica {
-				// A fresh replica seeds its directory from the primary's
-				// newest snapshot before opening storage, so Recover below
-				// boots from exactly the primary's compacted prefix.
-				fetched, err := replication.Bootstrap(nil, *replicaOf, *replToken, nil, *dataDir)
-				if err != nil {
-					return fmt.Errorf("replica bootstrap: %w", err)
-				}
-				if fetched {
-					boot.Info("replica bootstrapped from primary snapshot",
-						slog.String("primary", *replicaOf), slog.String("dir", *dataDir))
-				}
-			}
-			var err error
-			db, err = storage.Open(*dataDir, storage.Options{SyncEvery: *walSyncEvery, Metrics: storage.NewMetrics(reg)})
+	if *dataDir != "" {
+		if isReplica {
+			// A fresh replica seeds its directory from the primary's
+			// newest snapshot before opening storage, so Recover below
+			// boots from exactly the primary's compacted prefix.
+			fetched, err := replication.Bootstrap(nil, *replicaOf, *replToken, nil, *dataDir)
 			if err != nil {
-				return err
+				return fmt.Errorf("replica bootstrap: %w", err)
 			}
-			stats, err := db.Recover(st.RDF())
-			if err != nil {
-				return err
-			}
-			if err := st.RestoreGeometries(); err != nil {
-				return err
-			}
-			// The recovery timeline (phase durations, torn-tail and corrupt
-			// segment accounting) logs as one structured group.
-			boot.Info("recovered", slog.String("dir", *dataDir), slog.Any("recovery", stats))
-			// Attach the journal only now, so replayed triples were not
-			// re-journaled; everything below is durable.
-			st.RDF().SetJournal(db.Log())
-		}
-
-		// Synthetic and file loads are idempotent against a recovered
-		// directory: already-present triples deduplicate and are not
-		// re-journaled.
-		for _, f := range geostore.GeneratePointFeatures(*n, *seed, extent) {
-			if err := st.AddFeature(f); err != nil {
-				return err
+			if fetched {
+				boot.Info("replica bootstrapped from primary snapshot",
+					slog.String("primary", *replicaOf), slog.String("dir", *dataDir))
 			}
 		}
-		if *load != "" {
-			if err := loadNTriplesFile(st, *load); err != nil {
-				return err
-			}
-		}
-		if err := st.RDF().CommitJournal(); err != nil {
+		var err error
+		db, err = storage.Open(*dataDir, storage.Options{SyncEvery: *walSyncEvery, Metrics: storage.NewMetrics(reg)})
+		if err != nil {
 			return err
 		}
-		st.Build()
-		engine, loader = st, st
+		stats, err := db.Recover(st.RDF())
+		if err != nil {
+			return err
+		}
+		if err := st.RestoreGeometries(); err != nil {
+			return err
+		}
+		// The recovery timeline (phase durations, torn-tail and corrupt
+		// segment accounting) logs as one structured group.
+		boot.Info("recovered", slog.String("dir", *dataDir), slog.Any("recovery", stats))
+		// Attach the journal only now, so replayed triples were not
+		// re-journaled; everything below is durable.
+		st.RDF().SetJournal(db.Log())
+	}
 
-		if db != nil {
-			if db.SinceSnapshot() > 0 {
-				// Boot-time loads went to the WAL only; compact them away.
-				if path, err := db.Snapshot(st.RDF()); err != nil {
-					return err
-				} else {
-					boot.Info("boot snapshot", slog.String("path", path))
-				}
-			}
-			switch {
-			case isReplica:
-				r, rerr := replication.NewReplica(replication.ReplicaConfig{
-					PrimaryURL: *replicaOf,
-					Token:      *replToken,
-					Store:      st,
-					DB:         db,
-					Metrics:    replication.NewMetrics(reg),
-					Logger:     boot,
-				})
-				if rerr != nil {
-					return rerr
-				}
-				rep = r
-				go rep.Run()
-			case *replToken != "":
-				// Every primary incarnation takes a fresh epoch before
-				// serving, so a revived predecessor's frames are fenced off
-				// by replicas (no split-brain).
-				epoch, eerr := db.BumpEpoch()
-				if eerr != nil {
-					return eerr
-				}
-				feed = replication.NewFeed(replication.FeedConfig{
-					DB:      db,
-					Token:   *replToken,
-					Metrics: replication.NewMetrics(reg),
-					Logger:  boot,
-				})
-				boot.Info("replication feed enabled", slog.Uint64("epoch", epoch))
-			}
-			if *snapshotEvery > 0 {
-				go snapshotLoop(db, st, *snapshotEvery, boot)
-			}
-			shutdownOnSignal(db, feed, rep, boot)
+	// Synthetic and file loads are idempotent against a recovered
+	// directory: already-present triples deduplicate and are not
+	// re-journaled.
+	for _, f := range geostore.GeneratePointFeatures(*n, *seed, extent) {
+		if err := st.AddFeature(f); err != nil {
+			return err
 		}
-	case "partitioned":
-		if *load != "" {
-			return fmt.Errorf("-load is only supported with indexed/naive modes")
+	}
+	if *load != "" {
+		if err := loadNTriplesFile(st, *load); err != nil {
+			return err
 		}
-		if *dataDir != "" {
-			return fmt.Errorf("-data-dir is only supported with indexed/naive modes")
-		}
-		ps := geostore.NewPartitioned(*parts)
-		if pool != nil {
-			ps.SetParallel(*queryWorkers, pool)
-		}
-		ps.SetLogger(logger)
-		for _, f := range geostore.GeneratePointFeatures(*n, *seed, extent) {
-			if err := ps.AddFeature(f); err != nil {
+	}
+	if err := st.RDF().CommitJournal(); err != nil {
+		return err
+	}
+	st.Build()
+
+	if db != nil {
+		if db.SinceSnapshot() > 0 {
+			// Boot-time loads went to the WAL only; compact them away.
+			if path, err := db.Snapshot(st.RDF()); err != nil {
 				return err
+			} else {
+				boot.Info("boot snapshot", slog.String("path", path))
 			}
 		}
-		ps.Build()
-		engine = ps
-	default:
-		fs.Usage()
-		return fmt.Errorf("unknown mode %q", *mode)
+		switch {
+		case isReplica:
+			r, rerr := replication.NewReplica(replication.ReplicaConfig{
+				PrimaryURL: *replicaOf,
+				Token:      *replToken,
+				Store:      st,
+				DB:         db,
+				Metrics:    replication.NewMetrics(reg),
+				Logger:     boot,
+			})
+			if rerr != nil {
+				return rerr
+			}
+			rep = r
+			go rep.Run()
+		case *replToken != "":
+			// Every primary incarnation takes a fresh epoch before
+			// serving, so a revived predecessor's frames are fenced off
+			// by replicas (no split-brain).
+			epoch, eerr := db.BumpEpoch()
+			if eerr != nil {
+				return eerr
+			}
+			feed = replication.NewFeed(replication.FeedConfig{
+				DB:      db,
+				Token:   *replToken,
+				Metrics: replication.NewMetrics(reg),
+				Logger:  boot,
+			})
+			boot.Info("replication feed enabled", slog.Uint64("epoch", epoch))
+		}
+		if *snapshotEvery > 0 {
+			go snapshotLoop(db, st, *snapshotEvery, boot)
+		}
+		shutdownOnSignal(db, feed, rep, boot)
 	}
 
 	cfg := endpoint.Config{
 		MaxInFlight:        *maxInFlight,
 		QueryTimeout:       *timeout,
 		CacheSize:          *cacheSize,
-		Loader:             loader,
+		Loader:             st,
 		LoadToken:          *loadToken,
 		Workers:            pool,
 		Logger:             logger,
@@ -337,7 +299,7 @@ func run(args []string) error {
 		cfg.LagPolicy = *lagPolicy
 		cfg.ReadOnly = "this node replicates " + *replicaOf + "; ingest on the primary"
 	}
-	srv := endpoint.New(engine, cfg)
+	srv := endpoint.New(st, cfg)
 	if *pprofAddr != "" {
 		// The admin mux (pprof, metrics, debug routes) binds separately so
 		// profiling endpoints are never exposed on the public address.
@@ -361,9 +323,8 @@ func run(args []string) error {
 		role = "primary"
 	}
 	boot.Info("listening", slog.String("addr", *addr),
-		slog.Int("triples", engine.Len()),
-		slog.Uint64("store_version", engine.Version()),
-		slog.String("mode", *mode),
+		slog.Int("triples", st.Len()),
+		slog.Uint64("store_version", st.Version()),
 		slog.String("storage", durable),
 		slog.String("role", role))
 	return http.ListenAndServe(*addr, srv)

@@ -1,8 +1,8 @@
 // Package endpoint is the network-facing serving layer of the
 // re-engineered store: a W3C SPARQL-Protocol-style HTTP endpoint over
 // internal/geostore. GET/POST /sparql parses stSPARQL with
-// internal/sparql, evaluates against any Engine (single-node or
-// partitioned store), and streams results in content-negotiated formats
+// internal/sparql, evaluates against any Engine (the indexed geostore),
+// and streams results in content-negotiated formats
 // (SPARQL 1.1 JSON, CSV, TSV, GeoJSON via internal/sextant).
 //
 // Around the core handler sit the production concerns of the ROADMAP
@@ -34,8 +34,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Engine is the query-evaluation capability the endpoint serves. Both
-// *geostore.Store and *geostore.PartitionedStore implement it.
+// Engine is the query-evaluation capability the endpoint serves.
+// *geostore.Store implements it.
 type Engine interface {
 	// Query evaluates a parsed query.
 	Query(q *sparql.Query) (*sparql.Results, error)
@@ -49,8 +49,7 @@ type Engine interface {
 // engines running the morsel-driven parallel executor poll ctx at every
 // morsel dispatch, so the per-query timeout (and a vanished client)
 // stops all executor workers promptly instead of letting an abandoned
-// query burn CPU to completion. Both geostore store flavours implement
-// it.
+// query burn CPU to completion. *geostore.Store implements it.
 type ContextEngine interface {
 	QueryContext(ctx context.Context, q *sparql.Query) (*sparql.Results, error)
 }

@@ -412,34 +412,6 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-func TestPartitionedEngine(t *testing.T) {
-	ps := geostore.NewPartitioned(3)
-	for i := 0; i < 50; i++ {
-		f := geostore.Feature{
-			IRI:      fmt.Sprintf("http://extremeearth.eu/feature/p%d", i),
-			Class:    geostore.FeatureClass,
-			Geometry: geom.Point{X: float64(i), Y: float64(i)},
-		}
-		if err := ps.AddFeature(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ps.Build()
-	direct, err := ps.QueryString(spatialQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Len() == 0 {
-		t.Fatal("expected rows from direct query")
-	}
-	srv := endpoint.New(ps, endpoint.Config{})
-	rec := get(t, srv, sparqlURL(spatialQuery, "format=csv"), nil)
-	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
-	if len(lines) != direct.Len()+1 { // header + one line per row
-		t.Fatalf("lines = %d, want %d: %q", len(lines), direct.Len()+1, rec.Body.String())
-	}
-}
-
 // TestParallelExecMetrics drives a morsel-parallel engine through the
 // endpoint and checks /metrics exports the executor counter and the
 // worker-pool gauge.

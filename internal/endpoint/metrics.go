@@ -163,7 +163,7 @@ func (s *Server) CacheHits() uint64 { return s.metrics.cacheHits.Load() }
 
 // PlanCacheStatser is the optional engine capability behind the plan
 // cache metrics: engines that compile and cache slot-based query plans
-// (geostore single-node and partitioned stores) report their counters.
+// (*geostore.Store) report their counters.
 type PlanCacheStatser interface {
 	PlanCacheStats() (hits, misses uint64)
 }
@@ -185,8 +185,7 @@ type ExecStatser interface {
 // MemoryStatser is the optional engine capability behind the
 // store_memory_* gauges and GET /debug/store: engines that can account
 // for their in-memory footprint (dictionary, index, R-tree, plan cache)
-// report it as a telemetry.StoreMemory. Both geostore store flavours
-// implement it.
+// report it as a telemetry.StoreMemory. *geostore.Store implements it.
 type MemoryStatser interface {
 	MemoryStats() telemetry.StoreMemory
 }

@@ -21,8 +21,8 @@ import (
 
 // AnalyzeEngine is the optional EXPLAIN ANALYZE capability of an
 // Engine: evaluation with executor stats collection, returning the
-// per-step profile alongside the results. Both geostore store flavours
-// implement it. Engines without it still serve ?analyze=1 requests,
+// per-step profile alongside the results. *geostore.Store implements
+// it. Engines without it still serve ?analyze=1 requests,
 // with a null profile.
 type AnalyzeEngine interface {
 	QueryAnalyze(ctx context.Context, q *sparql.Query) (*sparql.Results, *sparql.Profile, error)

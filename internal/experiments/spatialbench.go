@@ -130,17 +130,6 @@ func SpatialJoinBench(cfg Config) (*Table, *SpatialBenchReport) {
 	rows, d = run(gstIndexed)
 	record("query_intersects", "index-join", queryN, queryN, rows, 0, d, queryNaiveT)
 
-	ps := geostore.NewPartitioned(4)
-	for _, e := range qa {
-		mustAdd(ps.AddFeature(geostore.Feature{IRI: e.IRI, Class: "http://extremeearth.eu/ontology#Left", Geometry: e.Geometry}))
-	}
-	for _, e := range qb {
-		mustAdd(ps.AddFeature(geostore.Feature{IRI: e.IRI, Class: "http://extremeearth.eu/ontology#Right", Geometry: e.Geometry}))
-	}
-	ps.Build()
-	rows, d = run(ps)
-	record("query_intersects", "partitioned-broadcast-4", queryN, queryN, rows, 0, d, queryNaiveT)
-
 	return t, rep
 }
 

@@ -87,38 +87,3 @@ func TestQueryAnalyzeNaive(t *testing.T) {
 		t.Errorf("naive profile note = %q, want a naive-mode remark", prof.Note)
 	}
 }
-
-// TestQueryAnalyzePartitioned checks the fan-out path attaches one
-// sub-profile per partition that produced work and agrees with the
-// plain query.
-func TestQueryAnalyzePartitioned(t *testing.T) {
-	ps := NewPartitioned(3)
-	loadPoints(t, ps, 400)
-	ps.Build()
-	q := sparql.MustParse(SelectionQuery(geom.NewRect(100, 100, 900, 900)))
-
-	plain, err := ps.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, prof, err := ps.QueryAnalyze(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != plain.Len() {
-		t.Fatalf("analyzed rows = %d, plain = %d", res.Len(), plain.Len())
-	}
-	if prof == nil || len(prof.Partitions) == 0 {
-		t.Fatalf("partitioned profile = %+v, want per-partition sub-profiles", prof)
-	}
-	var emitted int64
-	for _, sub := range prof.Partitions {
-		emitted += sub.Emitted
-	}
-	if emitted != prof.Emitted {
-		t.Errorf("sum of partition emitted = %d, parent = %d", emitted, prof.Emitted)
-	}
-	if rendered := prof.Render(); !strings.Contains(rendered, "partition 0:") {
-		t.Errorf("rendered profile missing partition sections:\n%s", rendered)
-	}
-}

@@ -4,15 +4,17 @@
 // R-tree, and stSPARQL spatial filters are answered by filter-and-refine
 // over the index instead of per-row WKT parsing.
 //
-// Three execution modes reproduce the E1/E2 experiment axes:
+// Two execution modes reproduce the E1/E2 experiment axes:
 //
 //   - ModeNaive mirrors the 2012-era Strabon evaluation strategy the paper
 //     cites as insufficient: full scan of candidate bindings with exact
-//     geometry tests (including WKT parsing) per row.
+//     geometry tests (including WKT parsing) per row. It is an in-process
+//     baseline and test oracle; eeserve serves ModeIndexed only.
 //   - ModeIndexed is the re-engineered single-node store: pre-parsed
 //     geometries, R-tree pruning, exact refinement only on survivors.
-//   - Partitioned (see PartitionedStore) adds scale-out: features are
-//     hash-partitioned across k indexed stores queried in parallel.
+//
+// E1 also hash-partitions features across k indexed stores and
+// concatenates their window selections (see PartitionedStore).
 package geostore
 
 import (
@@ -557,7 +559,21 @@ func (s *Store) cachedPlan(q *sparql.Query) (*planEntry, error) {
 // distance joins) and refine candidates exactly, honouring the
 // predicate's argument order. Yielded IDs therefore satisfy the join
 // predicate — the executor does not re-check.
+//
+// The matches are collected under the read lock and yielded after it is
+// released: yield runs the rest of the pipeline, whose refiners, probes
+// and checks take the read lock again, and a recursive RLock deadlocks
+// against a writer queued in between.
 func (s *Store) probeJoin(sj sparql.SpatialJoin, bound rdf.ID, aBound bool, yield func(rdf.ID) bool) {
+	for _, id := range s.probeMatches(sj, bound, aBound) {
+		if !yield(id) {
+			return
+		}
+	}
+}
+
+// probeMatches collects the candidates of one probeJoin under the lock.
+func (s *Store) probeMatches(sj sparql.SpatialJoin, bound rdf.ID, aBound bool) []rdf.ID {
 	s.joinProbes.Add(1)
 	rel := sj.Relation()
 	s.mu.RLock()
@@ -566,8 +582,9 @@ func (s *Store) probeJoin(sj sparql.SpatialJoin, bound rdf.ID, aBound bool, yiel
 	if !ok {
 		// Not a registered geometry: the predicate errors on this row in
 		// SPARQL semantics, so it contributes no candidates.
-		return
+		return nil
 	}
+	var matches []rdf.ID
 	s.rtree.Search(geom.JoinWindow(rel, g, sj.Distance), func(_ geom.Rect, data int64) bool {
 		id := rdf.ID(data)
 		cand, ok := s.geoms[id]
@@ -581,10 +598,11 @@ func (s *Store) probeJoin(sj sparql.SpatialJoin, bound rdf.ID, aBound bool, yiel
 			holds = geom.JoinHolds(rel, cand, g, sj.Distance)
 		}
 		if holds {
-			return yield(id)
+			matches = append(matches, id)
 		}
 		return true
 	})
+	return matches
 }
 
 // checkJoin tests the join predicate between two already-bound geometry
@@ -676,31 +694,28 @@ func (s *Store) refineLocked(sf sparql.SpatialFilter, id rdf.ID) bool {
 	}
 }
 
-// PartitionedStore is the scale-out variant: features are hash-partitioned
-// across k indexed stores and queries fan out in parallel. Because a
-// feature's triples are co-located in one partition, BGP solutions never
-// span partitions, so merging is concatenation — except for
-// variable-variable spatial joins, whose two sides usually live in
-// different partitions; those are evaluated by broadcasting the probe
-// side across partitions (see partjoin.go).
+// PartitionedStore is experiment E1's scale-out axis: features are
+// hash-partitioned by IRI across k indexed stores, and a query runs on
+// every partition in parallel with the rows concatenated. That answer is
+// exact only when each solution lies inside one feature's triples, whose
+// subjects (the feature IRI and its geometry node) share a partition and
+// whose IRI objects name no other feature. QueryString refuses every
+// other query with a *NotConcatenableError rather than answer it wrongly.
 type PartitionedStore struct {
 	parts []*Store
-	// joinProbes counts the global pairing probes of broadcast spatial
-	// joins (partition-local probes are counted by each partition).
-	joinProbes atomic.Uint64
+}
 
-	// parallel/gate mirror Store.SetParallel for the partitions and the
-	// merged fallback store; logger mirrors Store.SetLogger.
-	parallel int
-	gate     rdf.WorkerGate
-	logger   *slog.Logger
+// NotConcatenableError is PartitionedStore's refusal of a query whose
+// answer is not the concatenation of the partitions' answers.
+type NotConcatenableError struct {
+	// Reason names the offending query feature (DISTINCT, ORDER BY,
+	// LIMIT, OFFSET, an aggregate, or patterns spanning features).
+	Reason string
+}
 
-	// merged caches the transient single-node fallback store for
-	// non-decomposable spatial-join queries, keyed on the summed
-	// partition versions (see queryMerged).
-	mergedMu      sync.Mutex
-	merged        *Store
-	mergedVersion uint64
+func (e *NotConcatenableError) Error() string {
+	return "geostore: partitioned store cannot answer a query with " + e.Reason +
+		": its answer is not a concatenation of partition answers"
 }
 
 // NewPartitioned returns a store with k indexed partitions.
@@ -718,101 +733,12 @@ func NewPartitioned(k int) *PartitionedStore {
 // NumPartitions returns the partition count.
 func (ps *PartitionedStore) NumPartitions() int { return len(ps.parts) }
 
-// SetParallel enables morsel-driven parallel execution inside every
-// partition (and the merged fallback store). Partitions already fan out
-// across goroutines, so the gate matters even more here: it keeps
-// partitions × morsel-workers from oversubscribing the host.
-func (ps *PartitionedStore) SetParallel(degree int, gate rdf.WorkerGate) {
-	ps.parallel, ps.gate = degree, gate
-	for _, p := range ps.parts {
-		p.SetParallel(degree, gate)
-	}
-	ps.mergedMu.Lock()
-	if ps.merged != nil {
-		ps.merged.SetParallel(degree, gate)
-	}
-	ps.mergedMu.Unlock()
-}
-
-// SetLogger attaches a structured logger to every partition (and the
-// merged fallback store); see Store.SetLogger.
-func (ps *PartitionedStore) SetLogger(l *slog.Logger) {
-	ps.logger = l
-	for _, p := range ps.parts {
-		p.SetLogger(l)
-	}
-	ps.mergedMu.Lock()
-	if ps.merged != nil {
-		ps.merged.SetLogger(l)
-	}
-	ps.mergedMu.Unlock()
-}
-
-// ExecStats sums the partitions' dispatched-morsel counters with the
-// merged fallback store's.
-func (ps *PartitionedStore) ExecStats() (morsels uint64) {
-	ps.mergedMu.Lock()
-	if ps.merged != nil {
-		morsels += ps.merged.ExecStats()
-	}
-	ps.mergedMu.Unlock()
-	for _, p := range ps.parts {
-		morsels += p.ExecStats()
-	}
-	return morsels
-}
-
-// Len returns the total triple count.
-func (ps *PartitionedStore) Len() int {
-	n := 0
-	for _, p := range ps.parts {
-		n += p.Len()
-	}
-	return n
-}
-
-// Version sums the partition version counters; it advances whenever any
-// partition is mutated.
-func (ps *PartitionedStore) Version() uint64 {
-	var v uint64
-	for _, p := range ps.parts {
-		v += p.Version()
-	}
-	return v
-}
-
-// PlanCacheStats sums the partition plan cache counters.
-func (ps *PartitionedStore) PlanCacheStats() (hits, misses uint64) {
-	for _, p := range ps.parts {
-		h, m := p.PlanCacheStats()
-		hits += h
-		misses += m
-	}
-	return hits, misses
-}
-
-// SpatialJoinStats sums partition-local probe counters with the global
-// pairing probes of broadcast joins and the merged fallback store's
-// probes.
-func (ps *PartitionedStore) SpatialJoinStats() (probes uint64) {
-	probes = ps.joinProbes.Load()
-	ps.mergedMu.Lock()
-	if ps.merged != nil {
-		probes += ps.merged.SpatialJoinStats()
-	}
-	ps.mergedMu.Unlock()
-	for _, p := range ps.parts {
-		probes += p.SpatialJoinStats()
-	}
-	return probes
-}
-
 // AddFeature routes a feature to a partition by IRI hash.
 func (ps *PartitionedStore) AddFeature(f Feature) error {
 	return ps.parts[fnvHash(f.IRI)%uint32(len(ps.parts))].AddFeature(f)
 }
 
-// Build bulk-loads all partition indexes in parallel.
+// Build brings all partition indexes up to date in parallel.
 func (ps *PartitionedStore) Build() {
 	var wg sync.WaitGroup
 	for _, p := range ps.parts {
@@ -825,200 +751,89 @@ func (ps *PartitionedStore) Build() {
 	wg.Wait()
 }
 
-// QueryString parses and evaluates a query across all partitions.
+// QueryString parses a query, runs it on every partition in parallel and
+// concatenates the rows in partition order.
 func (ps *PartitionedStore) QueryString(qs string) (*sparql.Results, error) {
 	q, err := sparql.Parse(qs)
 	if err != nil {
 		return nil, err
 	}
-	return ps.Query(q)
-}
-
-// Query fans the query out to every partition in parallel and merges the
-// result rows, folding COUNT aggregates and re-applying DISTINCT, ORDER
-// BY and LIMIT globally. When no global reordering or deduplication is
-// needed, the limit is pushed down so each partition's slot pipeline
-// short-circuits.
-func (ps *PartitionedStore) Query(q *sparql.Query) (*sparql.Results, error) {
-	return ps.QueryContext(context.Background(), q)
-}
-
-// QueryContext is Query with cancellation threaded into every
-// partition's executor (see Store.QueryContext).
-func (ps *PartitionedStore) QueryContext(ctx context.Context, q *sparql.Query) (*sparql.Results, error) {
-	res, _, err := ps.queryCtx(ctx, q, false)
-	return res, err
-}
-
-// QueryAnalyze is QueryContext with EXPLAIN ANALYZE profiling: the
-// returned profile carries one sub-profile per partition (broadcast
-// spatial joins, which run through a transient merged store, return a
-// timing-only profile with a note instead).
-func (ps *PartitionedStore) QueryAnalyze(ctx context.Context, q *sparql.Query) (*sparql.Results, *sparql.Profile, error) {
-	return ps.queryCtx(ctx, q, true)
-}
-
-func (ps *PartitionedStore) queryCtx(ctx context.Context, q *sparql.Query, analyze bool) (*sparql.Results, *sparql.Profile, error) {
-	start := time.Now()
-	if joins := sparql.ExtractSpatialJoins(q); len(joins) > 0 {
-		// Variable-variable spatial joins pair features across
-		// partitions; per-partition evaluation would silently lose every
-		// cross-partition pair.
-		res, err := ps.querySpatialJoin(ctx, q, joins)
-		if err != nil || !analyze {
-			return res, nil, err
-		}
-		prof := &sparql.Profile{
-			Query:       q.Canonical(),
-			Fingerprint: q.Fingerprint(),
-			ElapsedNs:   int64(time.Since(start)),
-			Rows:        res.Len(),
-			Note:        "broadcast spatial join across partitions: per-step executor profile not collected",
-		}
-		return res, prof, nil
+	if reason := notConcatenable(q); reason != "" {
+		return nil, &NotConcatenableError{Reason: reason}
 	}
-	type partRes struct {
-		res  *sparql.Results
-		prof *sparql.Profile
-		err  error
-	}
-	// The limit survives pushdown only when partition results merge by
-	// plain concatenation: any global sort or dedup could discard rows.
-	// OFFSET never pushes down (each partition sees only part of the
-	// stream), but it widens the pushed limit so enough rows survive.
-	pushLimit := q.OrderBy == "" && !q.Distinct && len(q.Aggregates) == 0
-	out := make([]partRes, len(ps.parts))
+	out := make([]*sparql.Results, len(ps.parts))
+	errs := make([]error, len(ps.parts))
 	var wg sync.WaitGroup
 	for i, p := range ps.parts {
 		wg.Add(1)
 		go func(i int, p *Store) {
 			defer wg.Done()
-			local := *q
-			local.Offset = 0
-			if pushLimit && q.Limit > 0 {
-				local.Limit = q.Limit + q.Offset
-			} else {
-				local.Limit = 0
-			}
-			if analyze {
-				r, prof, err := p.QueryAnalyze(ctx, &local)
-				out[i] = partRes{r, prof, err}
-				return
-			}
-			r, err := p.QueryContext(ctx, &local)
-			out[i] = partRes{res: r, err: err}
+			out[i], errs[i] = p.Query(q)
 		}(i, p)
 	}
 	wg.Wait()
-	var merged *sparql.Results
-	var profs []*sparql.Profile
-	for _, pr := range out {
-		if pr.err != nil {
-			return nil, nil, pr.err
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	res := &sparql.Results{Vars: out[0].Vars}
+	for _, r := range out {
+		res.Rows = append(res.Rows, r.Rows...)
+	}
+	return res, nil
+}
+
+// notConcatenable names the first feature of q that makes its answer
+// differ from the concatenation of per-partition answers, or returns "".
+// Solution modifiers act on the whole answer. A solution stays inside
+// one feature when all pattern subjects are linked to each other through
+// patterns whose object is another pattern's subject (as ?g links
+// "?f geo:hasGeometry ?g" to "?g geo:asWKT ?w"); a variable-variable
+// spatial join, a cartesian product or a join on a shared object value
+// leaves subjects unlinked.
+func notConcatenable(q *sparql.Query) string {
+	switch {
+	case q.Distinct:
+		return "DISTINCT"
+	case q.OrderBy != "":
+		return "ORDER BY"
+	case q.Limit > 0:
+		return "LIMIT"
+	case q.Offset > 0:
+		return "OFFSET"
+	case len(q.Aggregates) > 0 || q.GroupBy != "":
+		return "an aggregate"
+	}
+	if len(q.Patterns) == 0 {
+		return ""
+	}
+	// Subject nodes: a variable by its name, a constant by its term text.
+	node := func(t rdf.PatternTerm) string {
+		if t.IsVar() {
+			return "?" + t.Var
 		}
-		profs = append(profs, pr.prof)
-		if merged == nil {
-			merged = pr.res
-			continue
-		}
-		merged.Rows = append(merged.Rows, pr.res.Rows...)
+		return t.Term.String()
 	}
-	if merged == nil {
-		merged = &sparql.Results{Vars: q.Vars}
+	subjects := map[string]bool{}
+	for _, tp := range q.Patterns {
+		subjects[node(tp.S)] = true
 	}
-	if len(q.Aggregates) > 0 {
-		mergeAggregateRows(merged, q)
-	}
-	if q.Distinct {
-		// Partitions deduplicate locally; identical rows can still
-		// arrive from different partitions.
-		dedupRows(merged)
-	}
-	if q.OrderBy != "" {
-		sparql.SortRows(merged.Rows, q.OrderBy, q.OrderDesc)
-	}
-	sparql.ApplyOffsetLimit(merged, q)
-	var prof *sparql.Profile
-	if analyze {
-		prof = &sparql.Profile{
-			Query:       q.Canonical(),
-			Fingerprint: q.Fingerprint(),
-			ElapsedNs:   int64(time.Since(start)),
-			Rows:        merged.Len(),
-			Partitions:  profs,
-		}
-		for _, sub := range profs {
-			if sub != nil {
-				prof.Emitted += sub.Emitted
+	// Grow one group from the first subject across pattern links whose
+	// object is itself a subject, until it stops growing.
+	group := map[string]bool{node(q.Patterns[0].S): true}
+	for grew := true; grew; {
+		grew = false
+		for _, tp := range q.Patterns {
+			s, o := node(tp.S), node(tp.O)
+			if subjects[o] && group[s] != group[o] {
+				group[s], group[o] = true, true
+				grew = true
 			}
 		}
 	}
-	return merged, prof, nil
-}
-
-// mergeAggregateRows folds per-partition aggregate rows into global
-// groups. Features are co-located, so every partition contributes
-// disjoint solutions and COUNT columns simply sum; rows sharing a GROUP
-// BY key (or the single global group) collapse into one.
-func mergeAggregateRows(r *sparql.Results, q *sparql.Query) {
-	type group struct {
-		key    rdf.Term
-		counts []int64
+	if len(group) < len(subjects) {
+		return "patterns spanning features (e.g. a variable-variable spatial join)"
 	}
-	groups := map[string]*group{}
-	var order []string
-	for _, row := range r.Rows {
-		key := ""
-		if q.GroupBy != "" {
-			key = row[q.GroupBy].String()
-		}
-		g := groups[key]
-		if g == nil {
-			g = &group{key: row[q.GroupBy], counts: make([]int64, len(q.Aggregates))}
-			groups[key] = g
-			order = append(order, key)
-		}
-		for i, a := range q.Aggregates {
-			if n, err := row[a.As].Int(); err == nil {
-				g.counts[i] += n
-			}
-		}
-	}
-	r.Rows = r.Rows[:0]
-	for _, key := range order {
-		g := groups[key]
-		row := make(map[string]rdf.Term, len(q.Aggregates)+1)
-		if q.GroupBy != "" {
-			row[q.GroupBy] = g.key
-		}
-		for i, a := range q.Aggregates {
-			row[a.As] = rdf.NewIntLiteral(g.counts[i])
-		}
-		r.Rows = append(r.Rows, row)
-	}
-}
-
-// dedupRows removes duplicate result rows across partitions, keeping
-// first-seen order.
-func dedupRows(r *sparql.Results) {
-	seen := make(map[string]bool, len(r.Rows))
-	var key strings.Builder
-	w := 0
-	for _, row := range r.Rows {
-		key.Reset()
-		for _, v := range r.Vars {
-			key.WriteString(row[v].String())
-			key.WriteByte('\x00')
-		}
-		k := key.String()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		r.Rows[w] = row
-		w++
-	}
-	r.Rows = r.Rows[:w]
+	return ""
 }
 
 func fnvHash(s string) uint32 {
@@ -1048,28 +863,5 @@ func (s *Store) MemoryStats() telemetry.StoreMemory {
 	m.RTreeNodes = int64(nodes)
 	m.RTreeEntries = int64(entries)
 	m.PlanCacheEntries = int64(s.plans.len())
-	return m
-}
-
-// MemoryStats sums the partitions' accounting (plus the merged fallback
-// store when one is cached) and records the partition count.
-func (ps *PartitionedStore) MemoryStats() telemetry.StoreMemory {
-	var m telemetry.StoreMemory
-	for _, p := range ps.parts {
-		pm := p.MemoryStats()
-		m.Add(pm)
-	}
-	ps.mergedMu.Lock()
-	merged := ps.merged
-	ps.mergedMu.Unlock()
-	if merged != nil {
-		mm := merged.MemoryStats()
-		// The merged store is a cache rebuilt from the partitions, not a
-		// load target; counting its one build would make the maintenance
-		// totals fall each time it is retired.
-		mm.IndexFlushes, mm.IndexFlushSeconds, mm.RTreeBulkLoads, mm.RTreeInsertBuilds = 0, 0, 0, 0
-		m.Add(mm)
-	}
-	m.Partitions = int64(len(ps.parts))
 	return m
 }

@@ -1,8 +1,11 @@
 package geostore
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/geom"
@@ -94,6 +97,9 @@ func TestIndexedMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestPartitionedMatchesSingle checks the partitioned store's contract:
+// a query whose answer concatenates returns the single store's rows, and
+// every other query is refused with a *NotConcatenableError.
 func TestPartitionedMatchesSingle(t *testing.T) {
 	single := New(ModeIndexed)
 	parted := NewPartitioned(4)
@@ -111,21 +117,46 @@ func TestPartitionedMatchesSingle(t *testing.T) {
 	if parted.NumPartitions() != 4 {
 		t.Fatalf("partitions = %d", parted.NumPartitions())
 	}
-	if parted.Len() != single.Len() {
-		t.Fatalf("partitioned Len = %d, single = %d", parted.Len(), single.Len())
+	selection := SelectionQuery(geom.NewRect(200, 200, 600, 600))
+	for _, q := range []string{
+		selection,
+		`PREFIX ee: <http://extremeearth.eu/ontology#>
+		SELECT ?f ?v WHERE { ?f ee:value ?v . FILTER(?v < 100) }`,
+	} {
+		rs, err := single.QueryString(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp, err := parted.QueryString(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := rowStrings(rs), rowStrings(rp)
+		sort.Strings(want)
+		sort.Strings(got)
+		if len(want) == 0 || !slices.Equal(got, want) {
+			t.Fatalf("partitioned rows %q, single rows %q", got, want)
+		}
 	}
-	window := geom.NewRect(200, 200, 600, 600)
-	q := SelectionQuery(window)
-	rs, err := single.QueryString(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := parted.QueryString(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Len() != rp.Len() {
-		t.Fatalf("single %d rows, partitioned %d rows", rs.Len(), rp.Len())
+
+	for _, tc := range []struct{ name, query string }{
+		{"distinct", `SELECT DISTINCT ?t WHERE { ?f a ?t . }`},
+		{"order_by", selection + " ORDER BY ?f"},
+		{"limit", selection + " LIMIT 7"},
+		{"offset", selection + " OFFSET 3"},
+		{"count", `SELECT ?t (COUNT(*) AS ?n) WHERE { ?f a ?t . } GROUP BY ?t`},
+		{"var-var_join", `SELECT ?a ?b WHERE {
+			?a geo:hasGeometry ?ga . ?ga geo:asWKT ?wa .
+			?b geo:hasGeometry ?gb . ?gb geo:asWKT ?wb .
+			FILTER(geof:sfIntersects(?wa, ?wb)) }`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := parted.QueryString(tc.query)
+			var refused *NotConcatenableError
+			if !errors.As(err, &refused) {
+				t.Fatalf("QueryString = %v rows, %v; want a *NotConcatenableError", res, err)
+			}
+		})
 	}
 }
 

@@ -96,47 +96,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPartitionedParallelMatches checks the scale-out paths (fan-out,
-// broadcast spatial join, merged fallback) produce identical results
-// with per-partition morsel parallelism on.
-func TestPartitionedParallelMatches(t *testing.T) {
-	seq := NewPartitioned(3)
-	par := NewPartitioned(3)
-	loadPoints(t, seq, 300)
-	loadPoints(t, par, 300)
-	seq.Build()
-	par.Build()
-	par.SetParallel(max(4, runtime.NumCPU()), nil)
-
-	queries := append([]string(nil), parallelTestQueries...)
-	// Non-decomposable join shape: forces the merged fallback store.
-	queries = append(queries, `PREFIX ee: <http://extremeearth.eu/ontology#>
-	 SELECT ?a ?b WHERE {
-		?a geo:hasGeometry ?ga . ?ga geo:asWKT ?wa .
-		?b geo:hasGeometry ?gb . ?gb geo:asWKT ?wb .
-		FILTER(geof:sfIntersects(?wa, ?wb) && geof:distance(?wa, ?wb) < 50)
-	 } ORDER BY ?a LIMIT 30`)
-	for i, qs := range queries {
-		want, err := seq.QueryString(qs)
-		if err != nil {
-			t.Fatalf("query %d sequential: %v", i, err)
-		}
-		got, err := par.QueryString(qs)
-		if err != nil {
-			t.Fatalf("query %d parallel: %v", i, err)
-		}
-		if want.Len() != got.Len() {
-			t.Fatalf("query %d: rows = %d, want %d", i, got.Len(), want.Len())
-		}
-		w, g := rowStrings(want), rowStrings(got)
-		for j := range w {
-			if w[j] != g[j] {
-				t.Fatalf("query %d row %d:\n got %q\nwant %q", i, j, g[j], w[j])
-			}
-		}
-	}
-}
-
 // TestParallelQueryTimeout is the regression test for timeout
 // cancellation: a cartesian blow-up (millions of pipeline rows) must be
 // stopped promptly by a context deadline instead of burning all workers

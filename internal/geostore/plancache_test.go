@@ -71,67 +71,3 @@ func TestExplainShowsSeededPlan(t *testing.T) {
 		t.Errorf("naive Explain = %q, %v", text, err)
 	}
 }
-
-func TestPartitionedDistinctAcrossPartitions(t *testing.T) {
-	// The same class IRI appears in every partition; DISTINCT must dedup
-	// globally after the merge, not just per partition.
-	ps := NewPartitioned(4)
-	loadPoints(t, ps, 200)
-	ps.Build()
-	res, err := ps.QueryString(`
-		PREFIX ee: <http://extremeearth.eu/ontology#>
-		SELECT DISTINCT ?t WHERE { ?f a ?t . }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != 1 {
-		t.Fatalf("distinct classes = %d, want 1: %v", res.Len(), res.Rows)
-	}
-}
-
-func TestPartitionedAggregateMerge(t *testing.T) {
-	// COUNT groups must fold across partitions: one global row per
-	// GROUP BY key with summed counts, not one row per partition.
-	ps := NewPartitioned(4)
-	loadPoints(t, ps, 100)
-	ps.Build()
-	res, err := ps.QueryString(`
-		PREFIX ee: <http://extremeearth.eu/ontology#>
-		SELECT ?t (COUNT(*) AS ?n) WHERE { ?f a ?t . } GROUP BY ?t`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != 1 {
-		t.Fatalf("grouped rows = %d, want 1: %v", res.Len(), res.Rows)
-	}
-	if n, err := res.Rows[0]["n"].Int(); err != nil || n != 100 {
-		t.Fatalf("count = %v (%v), want 100", res.Rows[0]["n"], err)
-	}
-
-	// Ungrouped COUNT folds to a single global row too.
-	res, err = ps.QueryString(`SELECT (COUNT(*) AS ?n) WHERE { ?f ?p ?o . }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != 1 {
-		t.Fatalf("global rows = %d, want 1: %v", res.Len(), res.Rows)
-	}
-	if n, err := res.Rows[0]["n"].Int(); err != nil || n != int64(ps.Len()) {
-		t.Fatalf("count = %v (%v), want %d", res.Rows[0]["n"], err, ps.Len())
-	}
-}
-
-func TestPartitionedLimitPushdown(t *testing.T) {
-	ps := NewPartitioned(3)
-	loadPoints(t, ps, 300)
-	ps.Build()
-	res, err := ps.QueryString(`
-		PREFIX ee: <http://extremeearth.eu/ontology#>
-		SELECT ?f WHERE { ?f a ee:Feature . } LIMIT 7`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != 7 {
-		t.Fatalf("limited rows = %d, want 7", res.Len())
-	}
-}

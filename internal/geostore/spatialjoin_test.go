@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/interlink"
@@ -14,8 +15,7 @@ import (
 
 // The spatial-join tests verify that variable-variable geof predicates
 // run as index spatial joins (not silent cartesian scans) and agree with
-// the legacy oracle and with interlink's ground-truth harness, on both
-// the single-node indexed store and the partitioned store.
+// the legacy oracle and with interlink's ground-truth harness.
 
 const (
 	classA = "http://example.org/A"
@@ -117,18 +117,13 @@ var joinCases = []struct {
 }
 
 // TestSpatialJoinMatchesGroundTruth is the property test: the index
-// spatial join must return exactly the naive cross-product link set, on
-// the single-node indexed store and on the partitioned store (whose
-// pairs span partitions).
+// spatial join must return exactly the naive cross-product link set.
 func TestSpatialJoinMatchesGroundTruth(t *testing.T) {
 	for _, seed := range []int64{3, 7} {
 		a, b := joinEntitySets(50, seed)
 		single := New(ModeIndexed)
 		loadJoinFeatures(t, single.AddFeature, a, b)
 		single.Build()
-		parted := NewPartitioned(3)
-		loadJoinFeatures(t, parted.AddFeature, a, b)
-		parted.Build()
 
 		for _, tc := range joinCases {
 			truth, _ := interlink.DiscoverNaive(a, b, tc.cfg)
@@ -140,12 +135,6 @@ func TestSpatialJoinMatchesGroundTruth(t *testing.T) {
 				t.Fatalf("seed %d %s: indexed: %v", seed, tc.name, err)
 			}
 			diffSets(t, fmt.Sprintf("seed %d %s indexed", seed, tc.name), pairSet(t, res), want)
-
-			pres, err := parted.QueryString(qs)
-			if err != nil {
-				t.Fatalf("seed %d %s: partitioned: %v", seed, tc.name, err)
-			}
-			diffSets(t, fmt.Sprintf("seed %d %s partitioned", seed, tc.name), pairSet(t, pres), want)
 		}
 	}
 }
@@ -176,8 +165,8 @@ func TestSpatialJoinStrictDistance(t *testing.T) {
 }
 
 // TestSpatialJoinModifiers runs join queries with COUNT, DISTINCT,
-// ORDER BY, OFFSET and LIMIT through both stores against the naive
-// oracle.
+// ORDER BY, OFFSET and LIMIT through the indexed store against the
+// naive oracle.
 func TestSpatialJoinModifiers(t *testing.T) {
 	a, b := joinEntitySets(40, 5)
 	indexed := New(ModeIndexed)
@@ -185,9 +174,6 @@ func TestSpatialJoinModifiers(t *testing.T) {
 	loadJoinFeatures(t, indexed.AddFeature, a, b)
 	loadJoinFeatures(t, naive.AddFeature, a, b)
 	indexed.Build()
-	parted := NewPartitioned(4)
-	loadJoinFeatures(t, parted.AddFeature, a, b)
-	parted.Build()
 
 	count := fmt.Sprintf(`SELECT (COUNT(*) AS ?n) WHERE {
 		?a a <%s> . ?a geo:hasGeometry ?ga . ?ga geo:asWKT ?g1 .
@@ -198,16 +184,12 @@ func TestSpatialJoinModifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range []interface {
-		QueryString(string) (*sparql.Results, error)
-	}{indexed, parted} {
-		res, err := st.QueryString(count)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Len() != 1 || res.Rows[0]["n"].Value != wantCount.Rows[0]["n"].Value {
-			t.Fatalf("COUNT = %v, want %v", res.Rows[0]["n"], wantCount.Rows[0]["n"])
-		}
+	res, err := indexed.QueryString(count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 1 || res.Rows[0]["n"].Value != wantCount.Rows[0]["n"].Value {
+		t.Fatalf("COUNT = %v, want %v", res.Rows[0]["n"], wantCount.Rows[0]["n"])
 	}
 
 	ordered := joinQuery("geof:sfIntersects(?g1, ?g2)") + " ORDER BY ?a OFFSET 3 LIMIT 5"
@@ -215,97 +197,18 @@ func TestSpatialJoinModifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range []interface {
-		QueryString(string) (*sparql.Results, error)
-	}{indexed, parted} {
-		res, err := st.QueryString(ordered)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Len() != want.Len() {
-			t.Fatalf("ORDER/OFFSET/LIMIT rows = %d, want %d", res.Len(), want.Len())
-		}
-		for i := range res.Rows {
-			if res.Rows[i]["a"].Value != want.Rows[i]["a"].Value {
-				t.Fatalf("row %d ?a = %s, want %s", i, res.Rows[i]["a"].Value, want.Rows[i]["a"].Value)
-			}
+	res, err = indexed.QueryString(ordered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != want.Len() {
+		t.Fatalf("ORDER/OFFSET/LIMIT rows = %d, want %d", res.Len(), want.Len())
+	}
+	for i := range res.Rows {
+		if res.Rows[i]["a"].Value != want.Rows[i]["a"].Value {
+			t.Fatalf("row %d ?a = %s, want %s", i, res.Rows[i]["a"].Value, want.Rows[i]["a"].Value)
 		}
 	}
-}
-
-// TestSpatialJoinPartitionedFallback exercises the merged-store fallback
-// for a join query that does not decompose (a filter spans both sides).
-func TestSpatialJoinPartitionedFallback(t *testing.T) {
-	a, b := joinEntitySets(25, 13)
-	naive := New(ModeNaive)
-	loadJoinFeatures(t, naive.AddFeature, a, b)
-	parted := NewPartitioned(3)
-	loadJoinFeatures(t, parted.AddFeature, a, b)
-	parted.Build()
-
-	qs := fmt.Sprintf(`SELECT ?a ?b WHERE {
-		?a a <%s> . ?a geo:hasGeometry ?ga . ?ga geo:asWKT ?g1 .
-		?b a <%s> . ?b geo:hasGeometry ?gb . ?gb geo:asWKT ?g2 .
-		FILTER(geof:sfIntersects(?g1, ?g2))
-		FILTER(?a != ?b)
-	}`, classA, classB)
-	// ?a != ?b spans both components, so the broadcast path cannot split
-	// the query; the merged fallback must still find every pair.
-	want, err := naive.QueryString(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := parted.QueryString(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffSets(t, "merged fallback", pairSet(t, got), pairSet(t, want))
-
-	// Repeats hit the cached merged store; a mutation invalidates it.
-	again, err := parted.QueryString(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffSets(t, "merged fallback (cached)", pairSet(t, again), pairSet(t, want))
-	extraA := Feature{IRI: "http://example.org/a/extra", Class: classA,
-		Geometry: b[0].Geometry}
-	if err := parted.AddFeature(extraA); err != nil {
-		t.Fatal(err)
-	}
-	parted.Build()
-	after, err := parted.QueryString(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Len() <= want.Len() {
-		t.Fatalf("stale merged cache: %d pairs after insert, had %d", after.Len(), want.Len())
-	}
-}
-
-// TestSpatialJoinCrossPartitionPairs pins the original bug: two features
-// that intersect but hash to different partitions must still pair.
-func TestSpatialJoinCrossPartitionPairs(t *testing.T) {
-	parted := NewPartitioned(4)
-	// Two overlapping rectangles with IRIs that land in different
-	// partitions (verified below), plus a decoy far away.
-	fa := Feature{IRI: "http://example.org/a/0", Class: classA, Geometry: geom.NewRect(0, 0, 10, 10)}
-	fb := Feature{IRI: "http://example.org/b/0", Class: classB, Geometry: geom.NewRect(5, 5, 15, 15)}
-	decoy := Feature{IRI: "http://example.org/b/far", Class: classB, Geometry: geom.NewRect(500, 500, 510, 510)}
-	for _, f := range []Feature{fa, fb, decoy} {
-		if err := parted.AddFeature(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if fnvHash(fa.IRI)%4 == fnvHash(fb.IRI)%4 {
-		t.Fatalf("test IRIs hash to the same partition; pick different IRIs")
-	}
-	parted.Build()
-	res, err := parted.QueryString(joinQuery("geof:sfIntersects(?g1, ?g2)"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{fa.IRI + "|" + fb.IRI}
-	diffSets(t, "cross-partition", pairSet(t, res), want)
 }
 
 // TestSpatialJoinExplain verifies the join strategy is visible: index
@@ -361,16 +264,6 @@ func TestSpatialJoinProbeCounter(t *testing.T) {
 	if st.SpatialJoinStats() == 0 {
 		t.Fatal("SpatialJoinStats did not advance after an index spatial join")
 	}
-
-	parted := NewPartitioned(3)
-	loadJoinFeatures(t, parted.AddFeature, a, b)
-	parted.Build()
-	if _, err := parted.QueryString(joinQuery("geof:sfIntersects(?g1, ?g2)")); err != nil {
-		t.Fatal(err)
-	}
-	if parted.SpatialJoinStats() == 0 {
-		t.Fatal("partitioned SpatialJoinStats did not advance")
-	}
 }
 
 // TestSpatialJoinWithWindowFilter combines a var-const window seed with
@@ -402,5 +295,75 @@ func TestSpatialJoinWithWindowFilter(t *testing.T) {
 	diffSets(t, "seed+join", pairSet(t, got), pairSet(t, want))
 	if got.Len() == 0 {
 		t.Fatal("seed+join returned no rows; test data too sparse")
+	}
+}
+
+// TestSpatialJoinProbeUnderWriter pins the probe's lock discipline. With
+// a window filter on each side, the second side's refiner runs inside
+// the probe's yield; a probe that kept the store's read lock across
+// yield took it recursively, and a writer queued in between (an Add of
+// a geometry, or another query's Build) deadlocked the store.
+func TestSpatialJoinProbeUnderWriter(t *testing.T) {
+	a, b := joinEntitySets(40, 9)
+	st := New(ModeIndexed)
+	loadJoinFeatures(t, st.AddFeature, a, b)
+	st.Build()
+	window := geom.NewRect(0, 0, 600, 600)
+	qs := fmt.Sprintf(`SELECT ?a ?b WHERE {
+		?a a <%s> . ?a geo:hasGeometry ?ga . ?ga geo:asWKT ?g1 .
+		?b a <%s> . ?b geo:hasGeometry ?gb . ?gb geo:asWKT ?g2 .
+		FILTER(geof:sfIntersects(?g1, "%s"^^geo:wktLiteral))
+		FILTER(geof:sfIntersects(?g2, "%s"^^geo:wktLiteral))
+		FILTER(geof:sfIntersects(?g1, ?g2))
+	}`, classA, classB, window.WKT(), window.WKT())
+	want, err := st.QueryString(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() == 0 {
+		t.Fatal("query returned no rows; test data too sparse")
+	}
+	if text, err := st.Explain(sparql.MustParse(qs)); err != nil || !strings.Contains(text, "spatial refine") {
+		t.Fatalf("the ?g2 window filter is not a pushed refiner (%v):\n%s", err, text)
+	}
+
+	stop := make(chan struct{})
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st.mu.Lock()
+			st.mu.Unlock() //nolint:staticcheck // an empty critical section queues a writer
+		}
+	}()
+	queriesDone := make(chan error, 1)
+	go func() {
+		for i := 0; i < 200; i++ {
+			res, err := st.QueryString(qs)
+			if err != nil {
+				queriesDone <- err
+				return
+			}
+			if res.Len() != want.Len() {
+				queriesDone <- fmt.Errorf("query %d: %d rows, want %d", i, res.Len(), want.Len())
+				return
+			}
+		}
+		queriesDone <- nil
+	}()
+	select {
+	case err := <-queriesDone:
+		close(stop)
+		<-writerDone
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("spatial-join queries deadlocked against a queued writer")
 	}
 }

@@ -200,6 +200,56 @@ func TestFeedAuth(t *testing.T) {
 	}
 }
 
+// TestReplicaSilentPrimaryNotConnected pins what "connected" means: a primary
+// that answers 200 and then sends nothing has not spoken, so the
+// replica reports neither a connected stream nor a caught-up lag.
+// Reporting it connected on the status line let a reopened replica look
+// converged before the frame that raises its epoch fence arrived.
+func TestReplicaSilentPrimaryNotConnected(t *testing.T) {
+	answered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	srv := newSwappableServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		select {
+		case answered <- struct{}{}:
+		default:
+		}
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer srv.Close()
+	defer close(release)
+
+	rn := mustOpenNode(t, vfs.NewErrFS())
+	defer rn.close()
+	if err := saveState(rn.fsys, "db", State{Cursor: storage.Cursor{Seq: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := NewReplica(fastReplicaConfig(rn, srv.URL(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rep.Run()
+	defer rep.Stop()
+	select {
+	case <-answered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("replica never opened the stream")
+	}
+	const silence = 100 * time.Millisecond
+	time.Sleep(silence)
+	s := rep.Status()
+	if s.Connected {
+		t.Fatalf("replica reports connected before any frame: %+v", s)
+	}
+	if s.LagSeconds < silence.Seconds() {
+		t.Fatalf("replica reports lag %.3fs after %v of silence; no heartbeat proved it caught up", s.LagSeconds, silence)
+	}
+}
+
 // TestFeedSealedOnShutdown pins the rolling-restart contract: closing
 // the feed sends a final Sealed frame, the replica persists its cursor
 // and keeps retrying (not sticky), and a restarted feed lets it resume

@@ -298,7 +298,6 @@ func (r *Replica) streamOnce() error {
 
 	r.mu.Lock()
 	r.body = resp.Body
-	r.connected = true
 	r.mu.Unlock()
 	r.cfg.Logger.Info("replication: stream connected", "cursor", cur.String())
 
@@ -392,6 +391,10 @@ func (r *Replica) applyFrame(fr Frame) error {
 	case FrameHeartbeat:
 		lag, n := uvarintFrom(fr.Body)
 		r.mu.Lock()
+		// Connected means the primary has spoken on this stream: the feed
+		// heartbeats as soon as the stream is caught up, and only frames
+		// raise the epoch fence, so an HTTP 200 alone proves neither.
+		r.connected = true
 		if n > 0 {
 			r.lagBytes = int64(lag)
 			if lag == 0 {

@@ -132,19 +132,17 @@ func Project(st *rdf.Store, q *Query, bindings []rdf.Binding) (*Results, error) 
 		res.Rows = append(res.Rows, row)
 	}
 	if q.OrderBy != "" {
-		// SortRows precomputes one key per row instead of re-parsing
+		// sortRows precomputes one key per row instead of re-parsing
 		// numeric literals on every comparison.
-		SortRows(res.Rows, q.OrderBy, q.OrderDesc)
+		sortRows(res.Rows, q.OrderBy, q.OrderDesc)
 	}
-	ApplyOffsetLimit(res, q)
+	applyOffsetLimit(res, q)
 	return res, nil
 }
 
-// ApplyOffsetLimit drops the first Offset rows and truncates to Limit
-// (solution-modifier order: OFFSET before LIMIT). It is shared by the
-// evaluators here and by stores that merge partial results themselves
-// (the partitioned geostore).
-func ApplyOffsetLimit(res *Results, q *Query) {
+// applyOffsetLimit drops the first Offset rows and truncates to Limit
+// (solution-modifier order: OFFSET before LIMIT).
+func applyOffsetLimit(res *Results, q *Query) {
 	if q.Offset > 0 {
 		if q.Offset >= len(res.Rows) {
 			res.Rows = res.Rows[:0]
@@ -217,9 +215,9 @@ func projectAggregates(st *rdf.Store, q *Query, bindings []rdf.Binding) (*Result
 		res.Rows = append(res.Rows, row)
 	}
 	if q.OrderBy != "" {
-		SortRows(res.Rows, q.OrderBy, q.OrderDesc)
+		sortRows(res.Rows, q.OrderBy, q.OrderDesc)
 	}
-	ApplyOffsetLimit(res, q)
+	applyOffsetLimit(res, q)
 	return res, nil
 }
 

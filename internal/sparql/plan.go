@@ -451,9 +451,9 @@ func (p *Plan) renderAggregates(order []rdf.ID, counts func(rdf.ID) []int) (*Res
 		res.Rows = append(res.Rows, row)
 	}
 	if q.OrderBy != "" {
-		SortRows(res.Rows, q.OrderBy, q.OrderDesc)
+		sortRows(res.Rows, q.OrderBy, q.OrderDesc)
 	}
-	ApplyOffsetLimit(res, q)
+	applyOffsetLimit(res, q)
 	return res, nil
 }
 
@@ -753,10 +753,9 @@ func sortKeyLess(a, b sortKey) bool {
 	return a.str < b.str
 }
 
-// SortRows stably sorts decoded result rows by the named variable with
-// one key computation per row. Shared by the projection paths and the
-// partitioned store's global merge.
-func SortRows(rows []map[string]rdf.Term, by string, desc bool) {
+// sortRows stably sorts decoded result rows by the named variable with
+// one key computation per row. Shared by the projection paths.
+func sortRows(rows []map[string]rdf.Term, by string, desc bool) {
 	keys := make([]sortKey, len(rows))
 	for i, r := range rows {
 		keys[i] = makeSortKey(r[by])

@@ -124,11 +124,11 @@ func TestSortRowsNumericKeys(t *testing.T) {
 		{"v": rdf.NewIntLiteral(2)},
 		{"v": rdf.NewIntLiteral(33)},
 	}
-	SortRows(rows, "v", false)
+	sortRows(rows, "v", false)
 	if rows[0]["v"].Value != "2" || rows[2]["v"].Value != "33" {
 		t.Errorf("numeric sort failed: %v", rows)
 	}
-	SortRows(rows, "v", true)
+	sortRows(rows, "v", true)
 	if rows[0]["v"].Value != "33" {
 		t.Errorf("desc sort failed: %v", rows)
 	}

@@ -93,9 +93,6 @@ type Profile struct {
 	Steps []StepProfile `json:"steps"`
 	// Workers is the per-worker utilization (parallel runs only).
 	Workers []WorkerProfile `json:"workers,omitempty"`
-	// Partitions holds per-partition sub-profiles when a partitioned
-	// store fanned the query out.
-	Partitions []*Profile `json:"partitions,omitempty"`
 	// Note carries execution-path remarks (e.g. "naive mode: executor
 	// not instrumented").
 	Note string `json:"note,omitempty"`
@@ -216,17 +213,12 @@ func (p *Plan) ExplainAnalyze() (string, error) {
 }
 
 // TotalFilterDrops sums pushed-filter and seed-filter drops across the
-// profile's steps and partition sub-profiles (the source of the
-// endpoint's sparql_filter_drops_total counter).
+// profile's steps (the source of the endpoint's
+// sparql_filter_drops_total counter).
 func (prof *Profile) TotalFilterDrops() int64 {
 	n := prof.SeedDrops
 	for _, sp := range prof.Steps {
 		n += sp.FilterDrops
-	}
-	for _, sub := range prof.Partitions {
-		if sub != nil {
-			n += sub.TotalFilterDrops()
-		}
 	}
 	return n
 }
@@ -262,12 +254,6 @@ func (prof *Profile) Render() string {
 		for _, wp := range prof.Workers {
 			fmt.Fprintf(&b, "    worker %d: %d morsels, %d rows, busy %s (%.0f%% utilized)\n",
 				wp.Worker, wp.Morsels, wp.Rows, fmtNs(wp.BusyNs), wp.Utilization*100)
-		}
-	}
-	for i, sub := range prof.Partitions {
-		fmt.Fprintf(&b, "  partition %d:\n", i)
-		for _, line := range strings.Split(strings.TrimRight(sub.Render(), "\n"), "\n") {
-			b.WriteString("  " + line + "\n")
 		}
 	}
 	if prof.Note != "" {

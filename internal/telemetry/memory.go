@@ -4,10 +4,9 @@ package telemetry
 // dictionary, the triple indexes, the geometry index and the caches
 // that dominate the process's heap, plus how often the indexes were
 // brought up to date after loads. rdf.Store fills the dictionary and
-// index fields; geostore's stores add the spatial fields and, for the
-// partitioned flavour, sum their partitions. Exposed as store_memory_*
-// gauges and store_index_*/store_rtree_* counters on /metrics and
-// verbatim under GET /debug/store.
+// index fields; geostore.Store adds the spatial fields. Exposed as
+// store_memory_* gauges and store_index_*/store_rtree_* counters on
+// /metrics and verbatim under GET /debug/store.
 type StoreMemory struct {
 	// DictTerms is the number of interned terms; DictBytes is the total
 	// text bytes they hold (value + datatype + language tag), excluding
@@ -39,33 +38,6 @@ type StoreMemory struct {
 	// the geometries registered since the previous one.
 	RTreeBulkLoads    int64 `json:"rtree_bulk_loads"`
 	RTreeInsertBuilds int64 `json:"rtree_insert_builds"`
-
-	// Partitions is the partition count a partitioned store summed over
-	// (0 for single stores).
-	Partitions int64 `json:"partitions,omitempty"`
-}
-
-// Add accumulates o into m (used by partitioned stores to sum their
-// partitions).
-func (m *StoreMemory) Add(o StoreMemory) {
-	m.DictTerms += o.DictTerms
-	m.DictBytes += o.DictBytes
-	if len(o.IndexTriples) > 0 && m.IndexTriples == nil {
-		m.IndexTriples = make(map[string]int64, len(o.IndexTriples))
-	}
-	for k, v := range o.IndexTriples {
-		m.IndexTriples[k] += v
-	}
-	m.IndexBytes += o.IndexBytes
-	m.DedupEntries += o.DedupEntries
-	m.IndexFlushes += o.IndexFlushes
-	m.IndexFlushSeconds += o.IndexFlushSeconds
-	m.Geometries += o.Geometries
-	m.RTreeNodes += o.RTreeNodes
-	m.RTreeEntries += o.RTreeEntries
-	m.PlanCacheEntries += o.PlanCacheEntries
-	m.RTreeBulkLoads += o.RTreeBulkLoads
-	m.RTreeInsertBuilds += o.RTreeInsertBuilds
 }
 
 // TriplesIndexed returns the summed index triple counts (the spo count
